@@ -8,7 +8,7 @@ the conv2d kernel.
 import numpy as np
 
 from repro.bits import apply_bit_mask, sample_bernoulli_mask
-from repro.core import BayesianFaultInjector
+from repro.core import BatchedNetworkEvaluator, BayesianFaultInjector
 from repro.faults import BernoulliBitFlipModel, FaultConfiguration, TargetSpec
 from repro.mcmc import MetropolisHastingsSampler, PriorTarget, SingleBitToggle
 from repro.tensor import Tensor, conv2d, no_grad
@@ -55,21 +55,19 @@ def test_mcmc_step_cost(benchmark, golden_mlp_moons, moons_eval_batch):
 
 
 def test_batched_campaign_throughput(benchmark, golden_mlp_moons, moons_eval_batch):
-    """Vectorised 200-configuration campaign (vs one-at-a-time in
+    """200 configurations in one segment-engine sweep (vs one-at-a-time in
     test_faulted_forward_pass_mlp × 200)."""
-    from repro.core import BatchedMLPEvaluator
-
     eval_x, eval_y = moons_eval_batch
     injector = BayesianFaultInjector(
         golden_mlp_moons, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=0
     )
-    evaluator = BatchedMLPEvaluator(injector)
+    engine = BatchedNetworkEvaluator(injector)
     model = BernoulliBitFlipModel(1e-3)
     rng = np.random.default_rng(8)
     configurations = [
         FaultConfiguration.sample(injector.parameter_targets, model, rng) for _ in range(200)
     ]
-    benchmark(lambda: evaluator.evaluate(configurations))
+    benchmark(lambda: engine.evaluate_logits(configurations))
 
 
 def test_conv2d_forward(benchmark):

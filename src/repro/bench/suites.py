@@ -14,8 +14,8 @@ plus their warmup/repeat protocol. Group names match the historical
 * ``bench_fig2_mlp_sweep`` — the paper's Fig. 2 error-vs-p sweep on the
   image MLP;
 * ``bench_completeness`` — fixed-budget MCMC mixing and adaptive stopping;
-* ``bench_fastpath`` — the faulted-forward fast path (prefix caching +
-  batched evaluation + sparse apply) against the standard path on a
+* ``bench_fastpath`` — the faulted-forward fast path (segment engine +
+  sparse apply) against the standard path on a
   ResNet-18 layerwise campaign;
 * ``bench_mcmc`` — delta-forward chain campaigns against the standard
   per-proposal forward, across the three proposal locality regimes
@@ -208,8 +208,8 @@ def _fastpath_suite(quick: bool, seed: int, cache_dir: str | None) -> dict[str, 
 
     The campaign pair is the paper's Fig. 3 regime — a layerwise campaign
     on a deep ResNet-18 layer, where the clean prefix dominates each
-    forward — run with ``fast=True`` (prefix caching + batched evaluation)
-    and ``fast=False`` (full forward per configuration). Both compute
+    forward — run with ``fast=True`` (the segment engine) and
+    ``fast=False`` (full forward per configuration). Both compute
     bit-identical results; the ratio of their medians is the speedup the
     fast path buys. The apply pair isolates the injection primitive:
     sparse copy-on-write at campaign-realistic flip density versus the

@@ -287,11 +287,11 @@ def _needs_executor(args) -> bool:
 def _add_fast(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fast", action=argparse.BooleanOptionalAction, default=None,
-        help="fast faulted-forward path (prefix caching + batched evaluation; "
-             "delta-forward lockstep chains for mcmc/tempered/tempering); "
-             "bit-identical to the standard path. Default: auto-enable when "
-             "supported; --fast requires it (error if unavailable), --no-fast "
-             "forces the standard path",
+        help="segment engine for parameter-surface campaigns (batched "
+             "forwards from the cached golden prefix; delta-forward lockstep "
+             "chains for mcmc/tempered/tempering); bit-identical to the "
+             "standard path. Default: use it when supported; --fast requires "
+             "it (error if unavailable), --no-fast forces the standard path",
     )
 
 

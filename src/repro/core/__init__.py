@@ -30,8 +30,8 @@ from repro.core.stratified import StratifiedErrorEstimator, StratifiedEstimate
 from repro.core.outcomes import OutcomeCampaign, ConfigurationOutcome
 from repro.core.assessment import ResilienceAssessment, assess_model
 from repro.core.tracing import PropagationTrace, LayerDivergence, trace_fault_propagation
-from repro.core.batched import BatchedMLPEvaluator, BatchedNetworkEvaluator
-from repro.core.prefix import ChainStep, PrefixCachedForward, forward_chain, run_chain
+from repro.core.batched import BatchedNetworkEvaluator
+from repro.core.prefix import ChainStep, forward_chain, run_chain
 from repro.core.hazard import HazardReport, NumericalHazardGuard, hazard_aware_error
 
 __all__ = [
@@ -57,10 +57,8 @@ __all__ = [
     "PropagationTrace",
     "LayerDivergence",
     "trace_fault_propagation",
-    "BatchedMLPEvaluator",
     "BatchedNetworkEvaluator",
     "ChainStep",
-    "PrefixCachedForward",
     "forward_chain",
     "run_chain",
     "HazardReport",

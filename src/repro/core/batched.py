@@ -1,24 +1,24 @@
-"""Vectorised multi-configuration campaign evaluation for MLPs.
+"""The segment engine: the one fast faulted-forward primitive.
 
-A campaign's cost is #configurations × one forward pass. For dense
-networks the per-configuration work is small matrix algebra, so evaluating
-``k`` fault configurations *simultaneously* — stacking the faulted weight
-tensors into ``(k, in, out)`` arrays and contracting with einsum — turns
-``k`` interpreter round-trips into one BLAS call per layer. On the paper's
-MLP this is an order-of-magnitude campaign speed-up (measured in
-``benchmarks/bench_micro.py``), with bit-identical semantics verified
-against the sequential path.
-
-Scope: :class:`BatchedMLPEvaluator` covers
-:class:`~repro.nn.models.MLP`-shaped models (Dense/ReLU/Flatten sequences,
-the Fig. 1/Fig. 2 subjects) end to end. :class:`BatchedNetworkEvaluator`
-generalises to the conv nets (LeNet, ResNet — the Fig. 3 subjects): the
-model's verified forward chain runs *shared* up to the first faulted
-layer, the ``k`` faulted conv/dense/norm tensors are stacked and
-contracted in one einsum over the shared im2col columns, and every
+A campaign's cost is #configurations × one faulted forward pass.
+:class:`BatchedNetworkEvaluator` runs ``k`` fault configurations through
+the model's verified forward chain (:func:`repro.core.prefix.forward_chain`:
+MLP, Sequential, LeNet, ResNet) in one sweep. The chain runs *shared* up to
+the first faulted segment, the ``k`` faulted conv/dense/norm tensors are
+stacked and contracted in one einsum over the shared input, and every
 untouched downstream module runs once on the ``k`` diverged activations
-folded into the batch axis. Both are bit-identical to the sequential
-path — enforced by the fast-path property tests.
+folded into the batch axis.
+
+Every fast path of :class:`~repro.core.injector.BayesianFaultInjector`
+goes through :meth:`BatchedNetworkEvaluator.run_segments`:
+
+* forward campaigns score configurations in chunks (:meth:`evaluate_logits`);
+* the single-configuration statistic is a one-row sweep (``k = 1``);
+* MCMC and tempered chains recompute from cached segment boundaries
+  (:mod:`repro.core.delta`).
+
+All of them are bit-identical to ``apply_configuration`` + ``model(x)``,
+the standard path — enforced by the differential fast-path tests.
 """
 
 from __future__ import annotations
@@ -26,199 +26,18 @@ from __future__ import annotations
 import numpy as np
 
 import repro.obs as obs
-from repro.bits.float32 import apply_bit_mask
-from repro.core.campaign import CampaignResult
-from repro.core.hazard import HazardReport
-from repro.core.posterior import ErrorPosterior
-from repro.core.prefix import forward_chain, run_chain
+from repro.core.prefix import forward_chain
 from repro.faults.configuration import FaultConfiguration
-from repro.faults.model import FaultModel
-from repro.mcmc.chain import Chain, ChainSet
-from repro.nn.activations import ReLU
 from repro.nn.containers import Sequential
 from repro.nn.conv import Conv2d
-from repro.nn.layers import Dense, Flatten, Identity
-from repro.nn.models.mlp import MLP
+from repro.nn.layers import Dense
 from repro.nn.models.resnet import BasicBlock
 from repro.nn.module import Module
 from repro.nn.norm import _BatchNorm
 from repro.tensor.functional import im2col_indices
 from repro.tensor.tensor import Tensor, no_grad
 
-__all__ = ["BatchedMLPEvaluator", "BatchedNetworkEvaluator"]
-
-
-class BatchedMLPEvaluator:
-    """Evaluate many fault configurations of a dense network in one sweep.
-
-    Parameters
-    ----------
-    injector:
-        A configured :class:`~repro.core.injector.BayesianFaultInjector`
-        over an MLP-shaped model with parameter surfaces only.
-    """
-
-    def __init__(self, injector) -> None:
-        if injector.activation_modules or injector._wants_inputs:
-            raise ValueError("batched evaluation supports parameter surfaces only")
-        self.injector = injector
-        self._plan = self._build_plan(injector.model)
-        planned_params = {
-            f"{prefix}.{leaf}"
-            for prefix, layer in self._plan
-            for leaf in ("weight", "bias")
-            if getattr(layer, leaf, None) is not None
-        }
-        target_names = {name for name, _ in injector.parameter_targets}
-        if not target_names <= planned_params:
-            unplanned = sorted(target_names - planned_params)
-            raise ValueError(f"targets outside the dense plan: {unplanned}")
-        self._inputs = np.asarray(injector.inputs, dtype=np.float32).reshape(
-            len(injector.labels), -1
-        )
-        #: hazard accounting of the most recent :meth:`evaluate` call
-        self.last_hazard: HazardReport = HazardReport()
-
-    # ------------------------------------------------------------------ #
-    # model planning
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _build_plan(model: Module) -> list[tuple[str, Module]]:
-        """(dotted-name, layer) pairs for the dense execution sequence."""
-        if isinstance(model, MLP):
-            sequence = model.layers
-            prefix = "layers"
-        elif isinstance(model, Sequential):
-            sequence = model
-            prefix = ""
-        else:
-            raise TypeError(
-                f"BatchedMLPEvaluator supports MLP/Sequential models, got {type(model).__name__}"
-            )
-        plan: list[tuple[str, Module]] = []
-        for index, layer in enumerate(sequence):
-            if not isinstance(layer, (Dense, ReLU, Flatten, Identity)):
-                raise TypeError(
-                    f"unsupported layer {type(layer).__name__} for batched evaluation"
-                )
-            name = f"{prefix}.{index}" if prefix else str(index)
-            plan.append((name, layer))
-        return plan
-
-    # ------------------------------------------------------------------ #
-    # evaluation
-    # ------------------------------------------------------------------ #
-
-    def evaluate(self, configurations: list[FaultConfiguration]) -> np.ndarray:
-        """Classification error per configuration, shape ``(k,)``.
-
-        Semantics identical to scoring each configuration through
-        ``injector.make_statistic`` — verified bit-level by the tests.
-        """
-        if not configurations:
-            raise ValueError("need at least one configuration")
-        k = len(configurations)
-        labels = self.injector.labels
-        # All math in float32 to match the sequential (deployment) path:
-        # severe faulted weights overflow float32 at intermediates, and the
-        # resulting inf/nan logits must be reproduced, not avoided.
-        current = np.broadcast_to(self._inputs, (k,) + self._inputs.shape)  # (k, B, d)
-        with np.errstate(all="ignore"):
-            for name, layer in self._plan:
-                if isinstance(layer, Dense):
-                    weights = self._stacked_parameter(configurations, f"{name}.weight", layer.weight.data)
-                    current = np.matmul(current, weights)  # float32 batched GEMM
-                    if layer.bias is not None:
-                        biases = self._stacked_parameter(configurations, f"{name}.bias", layer.bias.data)
-                        current = current + biases[:, None, :]
-                elif isinstance(layer, ReLU):
-                    # Match Tensor.relu's NaN semantics (where(x>0, x, 0)):
-                    # NaN compares false, so NaN activations become 0, as in
-                    # the sequential path.
-                    current = np.where(current > 0, current, np.float32(0.0))
-                elif isinstance(layer, Flatten):
-                    current = current.reshape(k, current.shape[1], -1)
-        # Same hazard taxonomy as NumericalHazardGuard.score: a row with any
-        # non-finite logit always counts as an error (deterministically, not
-        # via NaN argmax) and is tracked separately as a hazard.
-        finite = np.isfinite(current).all(axis=2)  # (k, B)
-        predictions = current.argmax(axis=2)  # (k, B)
-        hazard_per_configuration = (~finite).sum(axis=1)
-        self.last_hazard = HazardReport(
-            evaluations=k,
-            hazard_evaluations=int((hazard_per_configuration > 0).sum()),
-            rows=int(finite.size),
-            hazard_rows=int(hazard_per_configuration.sum()),
-        )
-        if finite.all():
-            return (predictions != labels[None, :]).mean(axis=1)
-        wrong = ((predictions != labels[None, :]) & finite).sum(axis=1)
-        return (wrong + hazard_per_configuration) / current.shape[1]
-
-    def _stacked_parameter(
-        self, configurations: list[FaultConfiguration], name: str, golden: np.ndarray
-    ) -> np.ndarray:
-        """(k, *shape) faulted copies of one parameter."""
-        k = len(configurations)
-        stack = np.empty((k,) + golden.shape, dtype=np.float32)
-        for i, configuration in enumerate(configurations):
-            if name in configuration:
-                stack[i] = apply_bit_mask(golden, configuration.mask(name))
-            else:
-                stack[i] = golden
-        return stack
-
-    # ------------------------------------------------------------------ #
-    # campaign front-end
-    # ------------------------------------------------------------------ #
-
-    def forward_campaign(
-        self,
-        p: float,
-        samples: int = 200,
-        chains: int = 2,
-        fault_model: FaultModel | None = None,
-        stream: str = "batched",
-    ) -> CampaignResult:
-        """Drop-in faster equivalent of ``injector.forward_campaign``.
-
-        Draws the same kind of i.i.d. configurations, evaluates them in one
-        vectorised sweep, and packages the standard result object. (Not
-        RNG-identical to the sequential path — it uses its own stream —
-        but statistically the same estimator.)
-        """
-        from repro.faults.bernoulli import BernoulliBitFlipModel
-
-        if samples <= 0 or chains <= 0:
-            raise ValueError("samples and chains must be positive")
-        model = fault_model if fault_model is not None else BernoulliBitFlipModel(p)
-        rng = self.injector._rng_factory.stream(f"{stream}:p={p!r}")
-        per_chain = max(1, samples // chains)
-        configurations = [
-            FaultConfiguration.sample(self.injector.parameter_targets, model, rng)
-            for _ in range(per_chain * chains)
-        ]
-        errors = self.evaluate(configurations)
-        flips = [configuration.total_flips() for configuration in configurations]
-
-        chain_objs = []
-        for chain_id in range(chains):
-            chain = Chain(chain_id)
-            for i in range(chain_id * per_chain, (chain_id + 1) * per_chain):
-                chain.record(float(errors[i]), flips[i])
-            chain_objs.append(chain)
-        chain_set = ChainSet(chain_objs)
-        posterior = ErrorPosterior(errors, self.injector.golden_error)
-        return CampaignResult(
-            flip_probability=p,
-            golden_error=self.injector.golden_error,
-            chains=chain_set,
-            posterior=posterior,
-            method="forward-batched",
-            seed=self.injector.seed,
-            hazard=self.last_hazard,
-        )
+__all__ = ["BatchedNetworkEvaluator"]
 
 
 class _State:
@@ -238,16 +57,14 @@ class _State:
 
 
 class BatchedNetworkEvaluator:
-    """Evaluate many fault configurations of a conv net in one sweep.
+    """Evaluate many fault configurations of a network in one sweep.
 
-    Generalises :class:`BatchedMLPEvaluator` to the chain-decomposable
-    models of :func:`repro.core.prefix.forward_chain` (MLP, Sequential,
-    LeNet, ResNet). Three mechanisms keep the sweep bit-identical to ``k``
-    sequential faulted forwards while doing far less work:
+    Three mechanisms keep the sweep bit-identical to ``k`` sequential
+    faulted forwards while doing far less work:
 
-    * the chain runs *once*, shared, up to the first faulted layer (the
-      activation entering it is cached across :meth:`evaluate_logits`
-      calls — clean-prefix reuse);
+    * the chain runs *once*, shared, up to the first faulted segment (the
+      golden activation entering it is captured at construction — clean
+      prefix reuse for every later sweep);
     * a faulted Conv2d/Dense/BatchNorm contracts all ``k`` stacked faulted
       parameter tensors against the shared input in one einsum/GEMM
       (conv shares one im2col gather across configurations);
@@ -255,14 +72,17 @@ class BatchedNetworkEvaluator:
       ``k`` axis folded into the batch axis — valid because eval-mode
       modules are batch-independent.
 
-    Raises at construction when the model cannot be decomposed-and-verified
-    or the campaign has non-parameter surfaces, so callers can fall back to
-    the sequential path.
+    Construction decomposes the model once, assigns every fault target to
+    the chain step owning it, and runs the chain once over the evaluation
+    batch: that run checks the logits bit-for-bit against the injector's
+    golden logits and captures the activation entering the cut. It raises
+    when the model cannot be decomposed-and-verified or the campaign has
+    non-parameter surfaces, so callers can fall back to the standard path.
     """
 
     def __init__(self, injector) -> None:
-        if injector.activation_modules or injector._wants_inputs:
-            raise ValueError("batched evaluation supports parameter surfaces only")
+        if not injector._parameter_only():
+            raise ValueError("the segment engine supports parameter surfaces only")
         model = injector.model
         self.injector = injector
         steps = forward_chain(model)
@@ -270,16 +90,14 @@ class BatchedNetworkEvaluator:
             raise TypeError(
                 f"no forward chain for {type(model).__name__}; batched evaluation unsupported"
             )
-        self._steps = steps
-        self._targets = sorted(name for name, _ in injector.parameter_targets)
-        if not self._targets:
-            raise ValueError("no parameter targets to batch over")
         for _, module in model.named_modules():
             if module.training:
                 raise ValueError("batched evaluation requires eval-mode models")
-        self._x = Tensor(np.asarray(injector.inputs))
-        owners = []
-        for target in self._targets:
+        #: the verified forward chain
+        self.steps = steps
+        #: dotted target name → index of the chain step owning it
+        self.owners: dict[str, int] = {}
+        for target in sorted(name for name, _ in injector.parameter_targets):
             owner = next(
                 (
                     index
@@ -291,16 +109,17 @@ class BatchedNetworkEvaluator:
             if owner is None:
                 raise ValueError(f"target {target!r} not owned by any chain step")
             self._check_touched_modules(steps[owner].module, steps[owner].name, target)
-            owners.append(owner)
-        self._cut = min(owners)
+            self.owners[target] = owner
+        #: static prefix cut: the first chain step any fault target lives in
+        self.cut = min(self.owners.values())
+        x = Tensor(np.asarray(injector.inputs))
         with no_grad(), np.errstate(all="ignore"):
-            direct = model(self._x)
-            chained = run_chain(steps, self._x)
-        if not np.array_equal(
-            direct.data.view(np.uint8), chained.data.view(np.uint8)
-        ):
+            for index, step in enumerate(steps):
+                if index == self.cut:
+                    self.prefix = x.data  # golden activation entering steps[cut]
+                x = step(x)
+        if not np.array_equal(x.data.view(np.uint8), injector._golden_logits.view(np.uint8)):
             raise ValueError("forward chain is not bit-identical to model forward")
-        self._prefix: np.ndarray | None = None
 
     def _check_touched_modules(self, module: Module, name: str, target: str) -> None:
         """Ensure the leaf module owning ``target`` has a batched handler."""
@@ -337,14 +156,9 @@ class BatchedNetworkEvaluator:
         diagnostics and differ from the sequential path's — the scored
         errors do not.
         """
-        if not configurations:
-            raise ValueError("need at least one configuration")
-        k = len(configurations)
-        state = self.run_segments(
-            configurations, self._prefix_activation(), self._cut, diverged=False, guard=guard
-        )
+        state = self.run_segments(configurations, self.prefix, self.cut, diverged=False, guard=guard)
         if not state.diverged:
-            return np.broadcast_to(state.data, (k,) + state.data.shape)
+            return np.broadcast_to(state.data, (len(configurations),) + state.data.shape)
         return state.data
 
     def run_segments(
@@ -358,10 +172,11 @@ class BatchedNetworkEvaluator:
     ) -> _State:
         """Run ``steps[start:]`` over an explicit entry activation.
 
-        The delta-forward engine's entry point (:mod:`repro.core.delta`):
-        ``activation`` is the array entering ``steps[start]`` — shared
-        ``(B, ...)`` when ``diverged`` is False, or stacked ``(k, B, ...)``
-        with rows aligned to ``configurations`` otherwise. The same
+        The primitive every fast path runs through: :meth:`evaluate_logits`
+        enters at the static cut, :mod:`repro.core.delta` at cached segment
+        boundaries. ``activation`` is the array entering ``steps[start]`` —
+        shared ``(B, ...)`` when ``diverged`` is False, or stacked
+        ``(k, B, ...)`` with rows aligned to ``configurations`` otherwise. The same
         bit-identity argument as :meth:`evaluate_logits` applies segment by
         segment, so per-row results equal sequential faulted forwards
         whenever ``activation`` itself is bit-identical to the sequential
@@ -375,43 +190,18 @@ class BatchedNetworkEvaluator:
         errstate = guard.capture() if guard is not None else np.errstate(all="ignore")
         with no_grad(), errstate:
             state = _State(activation, diverged)
-            for step in self._steps[start:]:
+            for step in self.steps[start:]:
                 state = self._run_module(step.module, step.name, state, configurations)
                 if boundaries is not None:
                     boundaries.append(state)
         return state
-
-    def evaluate(self, configurations: list[FaultConfiguration]) -> np.ndarray:
-        """Classification error per configuration, shape ``(k,)``.
-
-        Same hazard taxonomy as ``NumericalHazardGuard.score``: any row with
-        a non-finite logit counts as an error deterministically.
-        """
-        logits = self.evaluate_logits(configurations)
-        labels = self.injector.labels
-        finite = np.isfinite(logits).all(axis=2)
-        predictions = logits.argmax(axis=2)
-        hazard_rows = (~finite).sum(axis=1)
-        wrong = ((predictions != labels[None, :]) & finite).sum(axis=1)
-        return (wrong + hazard_rows) / logits.shape[1]
-
-    def _prefix_activation(self) -> np.ndarray:
-        """Shared golden activation entering the first faulted step."""
-        if self._cut == 0:
-            return self._x.data
-        if self._prefix is None:
-            with no_grad():
-                self._prefix = run_chain(self._steps[: self._cut], self._x).data
-            return self._prefix
-        with obs.phase("prefix.reuse"):
-            return self._prefix
 
     # ------------------------------------------------------------------ #
     # module dispatch
     # ------------------------------------------------------------------ #
 
     def _touched(self, name: str) -> bool:
-        return any(target.startswith(name + ".") for target in self._targets)
+        return any(target.startswith(name + ".") for target in self.owners)
 
     def _run_module(
         self,

@@ -4,26 +4,26 @@ MCMC and tempered chains evaluate *sequentially related* fault
 configurations: each proposal is a small perturbation of the chain's
 current state, typically confined to one parameter tensor deep in the
 network, yet the standard statistic pays a full forward pass per proposal.
-This module caches, per chain, the boundary activations the chain's
-*current* state produces at every segment of the verified forward chain
-(:func:`repro.core.prefix.forward_chain`), diffs each proposal against the
-current state mask by mask, and recomputes only from the deepest segment
-whose fault targets changed — falling back to the full (golden-prefix)
-path when the delta spans the whole chain. Proposals from parallel chains
-or tempering rungs are evaluated as a *round*: the per-chain entry
-activations are stacked and the candidates run through
-:class:`~repro.core.batched.BatchedNetworkEvaluator` in one grouped
-forward.
+This module is a thin session layer over the segment engine
+(:class:`~repro.core.batched.BatchedNetworkEvaluator`). It caches, per
+chain, the boundary activations the chain's *current* state produces at
+every segment of the engine's verified forward chain, diffs each proposal
+against the current state mask by mask, and recomputes only from the
+deepest segment whose fault targets changed — starting from the engine's
+golden prefix when the delta spans the whole chain. Proposals from
+parallel chains or tempering rungs are evaluated as a *round*: the
+per-chain entry activations are stacked and the candidates run through
+one :meth:`~repro.core.batched.BatchedNetworkEvaluator.run_segments` call.
 
-Bit-identity contract (the same one the other fast paths honour): the
-cached activation entering segment ``j`` is valid for a candidate
-precisely when the candidate's masks equal the current state's on every
-target owned by segments ``< j`` — the prefix then executes identical ops
-on identical parameters — and the recomputed suffix is the batched
-evaluator's property-tested machinery. Scored statistics, hazard
-row/evaluation accounting, and RNG streams are therefore identical to the
-standard path; only op-granular FP error event *counts* may differ (fewer
-ops run), as documented for :meth:`BatchedNetworkEvaluator.evaluate_logits`.
+Bit-identity contract (the one every fast path honours): the cached
+activation entering segment ``j`` is valid for a candidate precisely when
+the candidate's masks equal the current state's on every target owned by
+segments ``< j`` — the prefix then executes identical ops on identical
+parameters — and the recomputed suffix is the engine's differentially
+tested machinery. Scored statistics, hazard row/evaluation accounting, and
+RNG streams are therefore identical to the standard path; only
+op-granular FP error event *counts* may differ (fewer ops run), as
+documented for :meth:`BatchedNetworkEvaluator.evaluate_logits`.
 
 Observability: cached-boundary fetches are billed to the ``delta.reuse``
 profiler phase and recomputed suffixes to ``delta.recompute``;
@@ -118,34 +118,23 @@ class DeltaChainEvaluator:
 
     Parameters
     ----------
-    injector:
-        A parameter-only :class:`~repro.core.injector.BayesianFaultInjector`.
-    evaluator:
-        The injector's :class:`BatchedNetworkEvaluator` (built here when
-        omitted — raising, like the evaluator itself, when the model does
-        not decompose into a verified forward chain).
+    segments:
+        The injector's segment engine; its steps, static cut and target
+        ownership are read, never recomputed.
 
-    One engine serves any number of concurrent :meth:`session`\\ s; all
-    mutable chain state lives in the sessions, so the engine can be cached
-    on the injector and shared across campaigns.
+    One evaluator serves any number of concurrent :meth:`session`\\ s; all
+    mutable chain state lives in the sessions.
     """
 
-    def __init__(self, injector, evaluator: BatchedNetworkEvaluator | None = None) -> None:
-        self.injector = injector
-        self._evaluator = evaluator if evaluator is not None else BatchedNetworkEvaluator(injector)
-        steps = self._evaluator._steps
+    def __init__(self, segments: BatchedNetworkEvaluator) -> None:
+        self.segments = segments
+        self.injector = segments.injector
         #: number of chain segments; boundary index n_steps holds the logits
-        self.n_steps = len(steps)
+        self.n_steps = len(segments.steps)
         #: static prefix cut — no fault target lives below it, ever
-        self.base = self._evaluator._cut
+        self.base = segments.cut
         #: dotted target name → owning chain segment index
-        self.owners: dict[str, int] = {}
-        for target in self._evaluator._targets:
-            self.owners[target] = next(
-                index
-                for index, step in enumerate(steps)
-                if step.module is not None and target.startswith(step.name + ".")
-            )
+        self.owners = segments.owners
 
     def session(self) -> DeltaSession:
         """A fresh per-chain session (no committed state yet)."""
@@ -212,7 +201,7 @@ class DeltaChainEvaluator:
             # full path from the shared golden prefix, exactly like
             # ``evaluate_logits``.
             start = self.base
-            entry = self._evaluator._prefix_activation()
+            entry = self.segments.prefix
             entry_diverged = False
         else:
             with obs.phase("delta.reuse"):
@@ -227,7 +216,7 @@ class DeltaChainEvaluator:
                     metrics.inc("delta.cache.miss")
         boundaries: list = []
         with obs.phase("delta.recompute"):
-            final = self._evaluator.run_segments(
+            self.segments.run_segments(
                 live_candidates, entry, start, entry_diverged, guard=guard, boundaries=boundaries
             )
         for position, index in enumerate(live):

@@ -38,8 +38,8 @@ from repro.bits.fields import field_mask
 from repro.bits.float32 import count_set_bits
 from repro.core.batched import BatchedNetworkEvaluator
 from repro.core.campaign import CampaignResult
+from repro.core.delta import DeltaChainEvaluator
 from repro.core.hazard import NumericalHazardGuard
-from repro.core.prefix import PrefixCachedForward
 from repro.exec.specs import (
     AdaptiveSpec,
     CampaignSpec,
@@ -85,9 +85,6 @@ _FIELD_MASKS = tuple((field, field_mask(field)) for field in ("sign", "exponent"
 #: bounds the (chunk, batch, channels, H, W) float64 intermediates
 _FAST_CHUNK = 8
 
-#: sentinel for lazily constructed fast-path machinery
-_UNSET = object()
-
 
 def _record_configuration(metrics, configuration: FaultConfiguration) -> None:
     """Detailed per-evaluation counters: flips by IEEE-754 field and by layer.
@@ -126,12 +123,14 @@ class BayesianFaultInjector:
         Root seed; every campaign derives named substreams, so results are
         exactly reproducible and independent across campaigns.
     fast:
-        Fast-path selection for parameter-surface campaigns. ``None``
-        (default) auto-enables clean-prefix activation caching and batched
-        forward evaluation whenever the model supports them — both are
-        bit-identical to the standard path, so results never change.
-        ``False`` forces the standard path (a debugging escape hatch);
-        ``True`` demands the fast path and raises if it is unavailable.
+        Whether parameter-surface campaigns run on the segment engine
+        (:class:`~repro.core.batched.BatchedNetworkEvaluator`: batched
+        forward campaigns, the single-configuration statistic from the
+        cached golden prefix, and delta-forward chains), which is
+        bit-identical to the standard ``model(x)`` path. ``None`` (default)
+        uses the engine whenever the model supports it; ``False`` forces
+        the standard path (a debugging escape hatch); ``True`` demands the
+        engine and raises if it is unavailable.
     """
 
     def __init__(
@@ -170,9 +169,8 @@ class BayesianFaultInjector:
             raise ValueError("target spec selects nothing in this model")
 
         self.fast = fast
-        self._fast_prefix = _UNSET
-        self._fast_evaluator = _UNSET
-        self._fast_delta = _UNSET
+        #: the segment engine once built, or the exception that prevented it
+        self._segments: BatchedNetworkEvaluator | Exception | None = None
         if fast and not self._parameter_only():
             raise ValueError(
                 "fast=True requires parameter-only fault surfaces; transient "
@@ -181,7 +179,10 @@ class BayesianFaultInjector:
             )
 
         self._x = Tensor(self.inputs)
-        self._golden_error = self._evaluate_clean()
+        with no_grad():
+            #: fault-free logits; the segment engine verifies its chain against them
+            self._golden_logits = self.model(self._x).data
+        self._golden_error = classification_error(self._golden_logits, self.labels)
 
     # ------------------------------------------------------------------ #
     # evaluation primitives
@@ -191,11 +192,6 @@ class BayesianFaultInjector:
     def golden_error(self) -> float:
         """Classification error of the fault-free network on the eval batch."""
         return self._golden_error
-
-    def _evaluate_clean(self) -> float:
-        with no_grad():
-            logits = self.model(self._x)
-        return classification_error(logits, self.labels)
 
     def _predict(self) -> np.ndarray:
         with no_grad():
@@ -219,96 +215,51 @@ class BayesianFaultInjector:
         """Whether every selected fault surface is a parameter surface."""
         return self._wants_parameters and not self.activation_modules and not self._wants_inputs
 
-    def _prefix_forward(self) -> PrefixCachedForward | None:
-        """Lazily built clean-prefix forward, or ``None`` when unavailable.
+    def _engine(self, override: bool | None = None) -> BatchedNetworkEvaluator | None:
+        """The segment engine for one campaign, or ``None`` for the standard path.
 
-        Engages only for parameter-only campaigns (transient hooks corrupt
-        prefix activations, so a cached prefix would miss them) and only when
-        the model decomposes into a verified forward chain with a non-trivial
-        cut point.
+        ``override`` (a spec's or statistic's ``fast``) wins over the
+        injector's ``fast`` when set. ``False`` selects the standard path,
+        ``None`` the engine when it is available, and ``True`` raises when
+        it is not. The engine is built once, on first use, and shared by
+        every later campaign; an injector built with ``fast=False`` never
+        builds it.
         """
-        if self._fast_prefix is _UNSET:
-            prefix = None
-            if self.fast is not False and self._parameter_only():
-                candidate = PrefixCachedForward(
-                    self.model, self._x, [name for name, _ in self.parameter_targets]
-                )
-                if candidate.engaged:
-                    prefix = candidate
-            self._fast_prefix = prefix
-        return self._fast_prefix
-
-    def _batched_evaluator(self) -> BatchedNetworkEvaluator | None:
-        """Lazily built batched evaluator, or ``None`` when unavailable."""
-        if self._fast_evaluator is _UNSET:
-            evaluator = None
-            if self.fast is not False and self._parameter_only():
+        fast = self.fast if override is None else override
+        if fast is False:
+            return None
+        if self._segments is None:
+            if self.fast is False:
+                self._segments = ValueError("the injector was built with fast=False")
+            else:
                 try:
-                    evaluator = BatchedNetworkEvaluator(self)
+                    self._segments = BatchedNetworkEvaluator(self)
                 except (TypeError, ValueError) as exc:
-                    if self.fast is True:
-                        raise ValueError(
-                            f"fast=True but batched evaluation is unavailable: {exc}"
-                        ) from exc
-            self._fast_evaluator = evaluator
-        return self._fast_evaluator
-
-    def _delta_engine(self):
-        """Lazily built delta-forward chain engine, or ``None`` when unavailable.
-
-        Shares the injector's :class:`BatchedNetworkEvaluator` (one chain
-        decomposition + verification per injector); the engine itself is
-        stateless across campaigns — each sampler run opens fresh sessions.
-        """
-        if self._fast_delta is _UNSET:
-            engine = None
-            evaluator = self._batched_evaluator()
-            if evaluator is not None:
-                from repro.core.delta import DeltaChainEvaluator
-
-                engine = DeltaChainEvaluator(self, evaluator)
-            self._fast_delta = engine
-        return self._fast_delta
-
-    def _chain_engine(self, spec_fast: bool | None):
-        """Delta engine for one chain campaign, honouring the spec override.
-
-        ``spec_fast`` wins over the injector-level ``fast`` knob when set:
-        ``False`` forces the standard per-proposal path, ``True`` requires
-        the delta engine (raising when unavailable), ``None`` inherits the
-        injector default (auto-engage when supported).
-        """
-        effective = self.fast if spec_fast is None else spec_fast
-        if effective is False:
-            return None
-        if not self._parameter_only():
-            if effective is True:
+                    self._segments = exc
+        if isinstance(self._segments, Exception):
+            if fast:
                 raise ValueError(
-                    "fast=True requires parameter-only fault surfaces; transient "
-                    "(activation/input) injection redraws faults per forward pass "
-                    "and cannot reuse cached activations"
-                )
+                    f"fast=True but the segment engine is unavailable: {self._segments}"
+                ) from self._segments
             return None
-        engine = self._delta_engine()
-        if engine is None and effective is True:
-            raise ValueError(
-                "fast=True but delta-forward chain evaluation is unavailable "
-                "(the model does not decompose into a verified forward chain, "
-                "or the injector was built with fast=False)"
-            )
-        return engine
+        return self._segments
 
     def make_statistic(
         self,
         fault_model: FaultModel,
         rng: np.random.Generator,
         guard: NumericalHazardGuard | None = None,
+        fast: bool | None = None,
     ):
         """Build ``FaultConfiguration → classification error`` for one campaign.
 
         Parameter masks come from the configuration (the MCMC state);
         transient surfaces draw fresh faults from ``fault_model`` inside the
-        evaluation, using the supplied stream.
+        evaluation, using the supplied stream. ``fast`` overrides the
+        injector's ``fast`` for this statistic: on the segment engine a
+        configuration is scored as a one-row sweep from the cached golden
+        prefix, leaving the live parameters untouched; on the standard path
+        it is applied to the model and the full forward runs.
 
         Every evaluation runs under a :class:`NumericalHazardGuard`
         (``guard``, the active campaign's guard, or a private one): flipped
@@ -318,11 +269,17 @@ class BayesianFaultInjector:
         polluting the misclassification statistic.
         """
         hazard_guard = guard or self._active_guard or NumericalHazardGuard()
-        fast_forward = self._prefix_forward()
+        # resolved here, never inside the statistic: building the engine
+        # verifies the golden chain, which must not see an applied fault
+        engine = self._engine(fast)
 
         def statistic(configuration: FaultConfiguration) -> float:
             if self._active_metrics is not None:
                 _record_configuration(self._active_metrics, configuration)
+            if engine is not None:
+                with obs.phase("forward.eval"):
+                    logits = engine.evaluate_logits([configuration], guard=hazard_guard)[0]
+                return hazard_guard.score(logits, self.labels)
             if self._wants_parameters:
                 parameter_context = apply_configuration(self.model, configuration)
             else:  # transient-only campaign; the configuration is a placeholder
@@ -336,12 +293,8 @@ class BayesianFaultInjector:
                     stack.enter_context(parameter_context)
                 stack.enter_context(hazard_guard.capture())
                 stack.enter_context(self._transient_context(fault_model, rng))
-                with obs.phase("forward.eval"):
-                    with no_grad():
-                        if fast_forward is not None:
-                            logits = fast_forward.forward()
-                        else:
-                            logits = self.model(self._x)
+                with obs.phase("forward.eval"), no_grad():
+                    logits = self.model(self._x)
             return hazard_guard.score(logits, self.labels)
 
         return statistic
@@ -480,8 +433,8 @@ class BayesianFaultInjector:
 
         The proposal mixes single-bit toggles (local) with block prior
         resampling (global); weights tune the mixing-speed experiments.
-        ``fast`` overrides the injector's delta-forward knob for this
-        campaign (results are bit-identical either way).
+        ``fast`` overrides the injector's ``fast`` for this campaign
+        (results are bit-identical either way).
         """
         return self.run(
             McmcSpec(
@@ -594,9 +547,9 @@ class BayesianFaultInjector:
     def _execute_forward(self, spec: ForwardSpec) -> CampaignResult:
         p, stream = spec.p, spec.stream
         model = self._fault_model(p, spec.fault_model)
-        evaluator = self._batched_evaluator()
-        if evaluator is not None:
-            return self._execute_forward_fast(spec, model, evaluator)
+        engine = self._engine()
+        if engine is not None:
+            return self._execute_forward_fast(spec, model, engine)
         rng = self._rng_factory.stream(f"{stream}:p={p!r}")
         sampler = ForwardSampler(
             self.parameter_targets or self._pseudo_targets(),
@@ -608,9 +561,9 @@ class BayesianFaultInjector:
         return self._package(p, chain_set, "forward", discard_fraction=0.0)
 
     def _execute_forward_fast(
-        self, spec: ForwardSpec, fault_model: FaultModel, evaluator: BatchedNetworkEvaluator
+        self, spec: ForwardSpec, fault_model: FaultModel, engine: BatchedNetworkEvaluator
     ) -> CampaignResult:
-        """i.i.d. forward campaign on the batched fast path.
+        """i.i.d. forward campaign on the segment engine.
 
         Bit-identical to the standard :class:`ForwardSampler` executor: the
         same stream splits into the same per-chain generators, each chain
@@ -643,7 +596,7 @@ class BayesianFaultInjector:
                         for configuration in chunk:
                             _record_configuration(self._active_metrics, configuration)
                     with obs.phase("forward.eval"):
-                        logits = evaluator.evaluate_logits(chunk, guard=guard)
+                        logits = engine.evaluate_logits(chunk, guard=guard)
                     for configuration, row in zip(chunk, logits):
                         value = guard.score(row, self.labels)
                         chain.record(value, configuration.total_flips(), accepted=True)
@@ -666,14 +619,17 @@ class BayesianFaultInjector:
             raise ValueError("MCMC campaigns require parameter fault surfaces (the mask state)")
         p, stream = spec.p, spec.stream
         model = self._fault_model(p, spec.fault_model)
-        statistic = self.make_statistic(model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"))
+        statistic = self.make_statistic(
+            model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"), fast=spec.fast
+        )
+        segments = self._engine(spec.fast)
         proposal = self._make_proposal(model, spec.toggle_weight, spec.resample_weight)
         sampler = MetropolisHastingsSampler(
             PriorTarget(model),
             proposal,
             statistic,
             initial=lambda r: FaultConfiguration.sample(self.parameter_targets, model, r),
-            engine=self._chain_engine(spec.fast),
+            engine=None if segments is None else DeltaChainEvaluator(segments),
         )
         chain_set = sampler.run(
             chains=spec.chains, steps=spec.steps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
@@ -689,7 +645,10 @@ class BayesianFaultInjector:
             raise ValueError("tempered campaigns require parameter fault surfaces")
         p, beta, stream = spec.p, spec.beta, spec.stream
         model = self._fault_model(p, spec.fault_model)
-        statistic = self.make_statistic(model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"))
+        statistic = self.make_statistic(
+            model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"), fast=spec.fast
+        )
+        segments = self._engine(spec.fast)
         # Memoisation requires a deterministic statistic; transient surfaces
         # redraw faults per evaluation (the sampler's identity shortcut makes
         # the memo moot here anyway, but keep the contract explicit).
@@ -700,7 +659,7 @@ class BayesianFaultInjector:
             proposal,
             statistic,
             initial=lambda r: FaultConfiguration.sample(self.parameter_targets, model, r),
-            engine=self._chain_engine(spec.fast),
+            engine=None if segments is None else DeltaChainEvaluator(segments),
         )
         chain_set = sampler.run(
             chains=spec.chains, steps=spec.steps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
@@ -722,14 +681,17 @@ class BayesianFaultInjector:
 
         p, stream = spec.p, spec.stream
         model = self._fault_model(p, spec.fault_model)
-        statistic = self.make_statistic(model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"))
+        statistic = self.make_statistic(
+            model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"), fast=spec.fast
+        )
+        segments = self._engine(spec.fast)
         sampler = ParallelTemperingSampler(
             self.parameter_targets,
             model,
             statistic,
             proposal=self._make_proposal(model, toggle_weight=0.8, resample_weight=0.2),
             betas=spec.betas,
-            engine=self._chain_engine(spec.fast),
+            engine=None if segments is None else DeltaChainEvaluator(segments),
         )
         result = sampler.run(
             chains=spec.chains, sweeps=spec.sweeps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")

@@ -83,10 +83,10 @@ class LayerwiseCampaign:
         layers bit-identically (per-layer keys include the layer's target
         spec and derived seed).
     fast:
-        Fast-path selection forwarded to every per-layer injector (``None``
-        auto-enables the bit-identical prefix-cached/batched forward path —
-        layerwise campaigns are its best case, since deep layers reuse long
-        clean prefixes; ``False`` forces the standard path).
+        Segment-engine selection forwarded to every per-layer injector
+        (``None`` uses the bit-identical engine when supported — layerwise
+        campaigns are its best case, since deep layers reuse long clean
+        prefixes; ``False`` forces the standard path).
     """
 
     model: Module

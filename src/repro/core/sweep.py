@@ -10,14 +10,10 @@ factory for per-point budgets). Points run sequentially through
 :meth:`BayesianFaultInjector.run`, or concurrently through a
 :class:`~repro.exec.executor.ParallelCampaignExecutor` — bit-identical
 either way, since campaigns only draw named RNG substreams.
-
-The legacy string dispatch (``method="forward"/"mcmc"/"stratified"``) still
-works but is deprecated; pass a spec instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -28,7 +24,7 @@ from repro.core.campaign import CampaignResult
 from repro.core.injector import BayesianFaultInjector
 from repro.core.knee import TwoRegimeFit, fit_two_regimes, truncate_saturated_tail
 from repro.exec.executor import ParallelCampaignExecutor
-from repro.exec.specs import CampaignSpec, ForwardSpec, spec_from_method
+from repro.exec.specs import CampaignSpec, ForwardSpec
 from repro.obs.estimator import publish_outcome
 from repro.utils.logging import get_logger
 
@@ -63,14 +59,11 @@ class ProbabilitySweep:
     p_values:
         Flip probabilities, defaults to the paper's log grid 1e-5 … 1e-1.
     samples / chains:
-        Per-point campaign budget for the default (and legacy-string) specs.
+        Per-point campaign budget for the default spec.
     spec:
         A :class:`~repro.exec.specs.CampaignSpec` template — its ``p`` is
         rebound per grid point — or a callable ``p → spec``. Defaults to
         :class:`~repro.exec.specs.ForwardSpec` with the budget above.
-    method:
-        Deprecated string dispatch (``"forward"``/``"mcmc"``/``"stratified"``);
-        emits a :class:`DeprecationWarning` and maps onto the equivalent spec.
     executor:
         Optional :class:`~repro.exec.executor.ParallelCampaignExecutor`; when
         given (with ``workers > 1``) the points fan out over its worker pool,
@@ -87,7 +80,6 @@ class ProbabilitySweep:
     p_values: tuple[float, ...] = ()
     samples: int = 200
     chains: int = 2
-    method: str | None = None
     spec: SpecLike | None = None
     executor: ParallelCampaignExecutor | None = None
     journal: object | None = None
@@ -105,20 +97,6 @@ class ProbabilitySweep:
             raise ValueError("flip probabilities must lie in (0, 1]")
         if np.any(np.diff(p_arr) <= 0):
             raise ValueError("p_values must be strictly increasing")
-        if self.method is not None:
-            if self.spec is not None:
-                raise ValueError("pass either spec= or the deprecated method=, not both")
-            if self.method not in ("forward", "mcmc", "stratified"):
-                raise ValueError(f"unknown sweep method {self.method!r}")
-            warnings.warn(
-                "ProbabilitySweep(method=...) string dispatch is deprecated; "
-                "pass spec=ForwardSpec(...)/McmcSpec(...)/StratifiedSpec(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            self.spec = spec_from_method(
-                self.method, p=float(self.p_values[0]), samples=self.samples, chains=self.chains
-            )
         if self.spec is None:
             self.spec = ForwardSpec(
                 p=float(self.p_values[0]), samples=self.samples, chains=self.chains

@@ -21,11 +21,9 @@ from repro.exec.specs import (
     CampaignSpec,
     ForwardSpec,
     McmcSpec,
-    METHOD_SPECS,
     StratifiedSpec,
     TemperedSpec,
     TemperingSpec,
-    spec_from_method,
 )
 from repro.exec.chaos import (
     ChaosError,
@@ -59,8 +57,6 @@ __all__ = [
     "TemperingSpec",
     "AdaptiveSpec",
     "StratifiedSpec",
-    "spec_from_method",
-    "METHOD_SPECS",
     "InjectorRecipe",
     "CampaignTask",
     "ExecutionStats",

@@ -46,8 +46,6 @@ __all__ = [
     "TemperingSpec",
     "AdaptiveSpec",
     "StratifiedSpec",
-    "spec_from_method",
-    "METHOD_SPECS",
 ]
 
 
@@ -121,11 +119,11 @@ class ForwardSpec(CampaignSpec):
 class McmcSpec(CampaignSpec):
     """Multi-chain Metropolis–Hastings on the fault prior (``mcmc_campaign``).
 
-    ``fast`` selects the delta-forward chain path for this campaign:
-    ``None`` inherits the injector's ``fast`` knob (auto-engage when the
-    model supports it), ``True`` requires it (raising when unavailable),
-    ``False`` forces the standard per-proposal forward. Results are
-    bit-identical either way.
+    ``fast`` selects the segment engine (delta-forward chains) for this
+    campaign: ``None`` inherits the injector's ``fast`` (use the engine
+    when the model supports it), ``True`` requires it (raising when
+    unavailable), ``False`` forces the standard per-proposal forward.
+    Results are bit-identical either way.
     """
 
     kind: ClassVar[str] = "mcmc"
@@ -163,7 +161,7 @@ class TemperedSpec(CampaignSpec):
     chains: int = 4
     steps: int = 250
     discard_fraction: float = 0.25
-    #: delta-forward selection (None = inherit injector, see :class:`McmcSpec`)
+    #: segment-engine selection (None = inherit injector, see :class:`McmcSpec`)
     fast: bool | None = None
 
     def __post_init__(self) -> None:
@@ -184,7 +182,7 @@ class TemperingSpec(CampaignSpec):
     sweeps: int = 250
     betas: tuple[float, ...] = (0.0, 5.0, 20.0, 80.0)
     discard_fraction: float = 0.25
-    #: delta-forward selection (None = inherit injector, see :class:`McmcSpec`)
+    #: segment-engine selection (None = inherit injector, see :class:`McmcSpec`)
     fast: bool | None = None
 
     def __post_init__(self) -> None:
@@ -236,32 +234,3 @@ class StratifiedSpec(CampaignSpec):
         )
         if not 0.0 < self.mass_tolerance < 1.0:
             raise ValueError(f"mass_tolerance must be in (0, 1), got {self.mass_tolerance}")
-
-
-#: legacy ``method=`` strings → spec types (the deprecated sweep dispatch)
-METHOD_SPECS: dict[str, type[CampaignSpec]] = {
-    "forward": ForwardSpec,
-    "mcmc": McmcSpec,
-    "stratified": StratifiedSpec,
-    "adaptive": AdaptiveSpec,
-    "tempering": TemperingSpec,
-}
-
-
-def spec_from_method(method: str, p: float, samples: int, chains: int) -> CampaignSpec:
-    """Map a legacy method string + per-point budget to a spec.
-
-    Mirrors the historical ``ProbabilitySweep._run_point`` dispatch exactly,
-    so deprecated callers get bit-identical campaigns.
-    """
-    if method == "forward":
-        return ForwardSpec(p=p, samples=samples, chains=chains)
-    if method == "mcmc":
-        return McmcSpec(p=p, chains=chains, steps=max(4, samples // chains))
-    if method == "stratified":
-        return StratifiedSpec(p=p, samples_per_stratum=max(4, samples // 8))
-    if method == "adaptive":
-        return AdaptiveSpec(p=p, chains=chains, max_steps=samples)
-    if method == "tempering":
-        return TemperingSpec(p=p, chains=chains, sweeps=max(4, samples // chains))
-    raise ValueError(f"unknown sweep method {method!r}; choose from {sorted(METHOD_SPECS)}")

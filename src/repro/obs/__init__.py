@@ -89,7 +89,8 @@ __all__ = [
     "drain_worker_report",
 ]
 
-_UNSET = object()
+#: default of :func:`configure` arguments: leave that instrument as it is
+_KEEP = object()
 
 _metrics: MetricsRegistry | None = None
 _tracer: Tracer = Tracer(enabled=False)
@@ -102,7 +103,7 @@ _profiler: Profiler | None = None
 # ---------------------------------------------------------------------- #
 
 
-def configure(metrics=_UNSET, tracer=_UNSET, progress=_UNSET, profiler=_UNSET) -> None:
+def configure(metrics=_KEEP, tracer=_KEEP, progress=_KEEP, profiler=_KEEP) -> None:
     """Install observability instruments for this process.
 
     Only the arguments you pass change; each accepts ``None`` to detach.
@@ -111,18 +112,18 @@ def configure(metrics=_UNSET, tracer=_UNSET, progress=_UNSET, profiler=_UNSET) -
     tensor-engine hot path (:data:`repro.obs.profile.ACTIVE`).
     """
     global _metrics, _tracer, _progress, _profiler
-    if metrics is not _UNSET:
+    if metrics is not _KEEP:
         _metrics = MetricsRegistry() if metrics is True else metrics
-    if tracer is not _UNSET:
+    if tracer is not _KEEP:
         if tracer is True:
             _tracer = Tracer(enabled=True)
         elif tracer is None:
             _tracer = Tracer(enabled=False)
         else:
             _tracer = tracer
-    if progress is not _UNSET:
+    if progress is not _KEEP:
         _progress = progress
-    if profiler is not _UNSET:
+    if profiler is not _KEEP:
         _profiler = Profiler() if profiler is True else profiler
         _profile_mod._set_active(_profiler)
 

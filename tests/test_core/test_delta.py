@@ -58,7 +58,7 @@ def make_pair(setup, seed):
     model, x, y, spec = setup
     slow = BayesianFaultInjector(model, x, y, spec=spec, seed=seed, fast=False)
     fast = BayesianFaultInjector(model, x, y, spec=spec, seed=seed)
-    assert fast._chain_engine(None) is not None, "delta engine failed to engage"
+    assert fast._engine() is not None, "segment engine failed to engage"
     return slow, fast
 
 
@@ -136,7 +136,7 @@ class TestTemperingSamplerParity:
             return sampler.run(chains=2, sweeps=15, rng=5)
 
         rs = run(None)
-        rf = run(injector._chain_engine(None))
+        rf = run(DeltaChainEvaluator(injector._engine()))
         assert rs.rung_means == rf.rung_means
         assert rs.swap_acceptance == rf.swap_acceptance
         assert np.array_equal(rs.cold_chains.matrix(), rf.cold_chains.matrix())
@@ -149,7 +149,7 @@ class TestDeltaSession:
         injector = BayesianFaultInjector(
             trained_mlp, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=2
         )
-        return DeltaChainEvaluator(injector)
+        return DeltaChainEvaluator(injector._engine())
 
     def draw(self, engine, rng, p=1e-3):
         return FaultConfiguration.sample(
@@ -221,14 +221,14 @@ class TestFastKnob:
     def test_spec_fast_false_disables_engine(self, trained_mlp, moons_eval):
         eval_x, eval_y = moons_eval
         injector = BayesianFaultInjector(trained_mlp, eval_x, eval_y, seed=1)
-        assert injector._chain_engine(False) is None
-        assert injector._chain_engine(None) is not None
+        assert injector._engine(False) is None
+        assert injector._engine(None) is not None
 
     def test_spec_fast_true_overrides_injector_fast_false(self, trained_mlp, moons_eval):
         eval_x, eval_y = moons_eval
         injector = BayesianFaultInjector(trained_mlp, eval_x, eval_y, seed=1, fast=False)
         with pytest.raises(ValueError, match="fast=True"):
-            injector._chain_engine(True)
+            injector._engine(True)
 
     def test_fast_true_rejects_undecomposable_model(self, moons_eval):
         class Custom(Module):

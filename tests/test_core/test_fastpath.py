@@ -1,16 +1,23 @@
-"""The faulted-forward fast path must be bit-identical to the standard path.
+"""The segment engine must be bit-identical to the standard path.
 
-Three layers under test: batched conv-net evaluation
-(:class:`BatchedNetworkEvaluator`), the prefix-cached statistic inside
-:class:`BayesianFaultInjector`, and the fast forward-campaign executor —
-each compared at the bit level against the sequential
-``apply_configuration`` + ``model(x)`` reference.
+One differential oracle: every row of
+:meth:`BatchedNetworkEvaluator.evaluate_logits`, and every value of the
+single-configuration statistic built on it, is compared at the bit level
+against the sequential ``apply_configuration`` + ``model(x)`` reference,
+across architectures, batch sizes and flip probabilities. The remaining
+tests pin the engine's edge cases, the fast forward-campaign executor and
+the ``fast`` knob.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import BatchedNetworkEvaluator, BayesianFaultInjector
+from repro.core import (
+    BatchedNetworkEvaluator,
+    BayesianFaultInjector,
+    NumericalHazardGuard,
+    hazard_aware_error,
+)
 from repro.faults import (
     BernoulliBitFlipModel,
     FaultConfiguration,
@@ -18,7 +25,7 @@ from repro.faults import (
     TargetSpec,
     apply_configuration,
 )
-from repro.nn import LeNet
+from repro.nn import LeNet, MLP
 from repro.nn.module import Module
 from repro.tensor.tensor import no_grad
 
@@ -35,8 +42,8 @@ def as_bits(array):
     return np.ascontiguousarray(array).view(np.uint8)
 
 
-def assert_bit_identical(evaluator, injector, configurations):
-    batched = evaluator.evaluate_logits(configurations)
+def assert_bit_identical(engine, injector, configurations):
+    batched = engine.evaluate_logits(configurations)
     for i, configuration in enumerate(configurations):
         reference = sequential_logits(injector, configuration)
         assert batched[i].dtype == reference.dtype
@@ -45,14 +52,28 @@ def assert_bit_identical(evaluator, injector, configurations):
         )
 
 
-@pytest.fixture()
-def lenet_injector(rng):
+def snapshot(injector):
+    return {name: param.data.copy() for name, param in injector.parameter_targets}
+
+
+def assert_untouched(injector, golden):
+    for name, param in injector.parameter_targets:
+        assert np.array_equal(param.data.view(np.uint32), golden[name].view(np.uint32)), name
+
+
+@pytest.fixture(scope="module")
+def lenet_setup():
+    rng = np.random.default_rng(1234)
     model = LeNet(in_channels=3, image_size=12, rng=0).eval()
     x = rng.normal(size=(6, 3, 12, 12)).astype(np.float32)
     y = rng.integers(0, 10, size=6).astype(np.int64)
-    return BayesianFaultInjector(
-        model, x, y, spec=TargetSpec.weights_and_biases(), seed=3
-    )
+    return model, x, y
+
+
+@pytest.fixture()
+def lenet_injector(lenet_setup):
+    model, x, y = lenet_setup
+    return BayesianFaultInjector(model, x, y, spec=TargetSpec.weights_and_biases(), seed=3)
 
 
 @pytest.fixture()
@@ -63,86 +84,173 @@ def resnet_injector(tiny_resnet, tiny_images):
     )
 
 
+@pytest.fixture()
+def arch_injector(request, lenet_injector, resnet_injector, trained_mlp, moons_eval):
+    """A parameter-surface injector per architecture id."""
+    if request.param == "mlp":
+        eval_x, eval_y = moons_eval
+        return BayesianFaultInjector(
+            trained_mlp, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=3
+        )
+    return lenet_injector if request.param == "lenet" else resnet_injector
+
+
+def layer_injector(model_id, layer, trained_mlp, moons_eval, tiny_resnet, tiny_images):
+    model, (x, y) = (trained_mlp, moons_eval) if model_id == "mlp" else (tiny_resnet, tiny_images)
+    return BayesianFaultInjector(model, x, y, spec=TargetSpec.single_layer(layer), seed=3)
+
+
+@pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("arch_injector", ["mlp", "lenet", "resnet"], indirect=True)
+def test_engine_matches_standard_forward(arch_injector, k, p, rng):
+    """The differential oracle: engine rows and statistic vs ``model(x)``."""
+    injector = arch_injector
+    engine = injector._engine()
+    assert engine is not None
+    fault_model = BernoulliBitFlipModel(p)
+    configurations = [
+        FaultConfiguration.sample(injector.parameter_targets, fault_model, rng) for _ in range(k)
+    ]
+    assert_bit_identical(engine, injector, configurations)
+
+    golden = snapshot(injector)
+    statistic = injector.make_statistic(fault_model, rng)
+    for configuration in configurations:
+        value = statistic(configuration)
+        expected = hazard_aware_error(sequential_logits(injector, configuration), injector.labels)
+        assert np.array_equal(as_bits(np.float64(value)), as_bits(np.float64(expected)))
+    assert_untouched(injector, golden)  # the fast statistic never applies a configuration
+
+
 class TestBatchedBitIdentity:
     def test_empty_configurations_give_golden_logits(self, lenet_injector):
-        evaluator = BatchedNetworkEvaluator(lenet_injector)
+        engine = lenet_injector._engine()
         empty = [FaultConfiguration.empty(lenet_injector.parameter_targets) for _ in range(3)]
-        assert_bit_identical(evaluator, lenet_injector, empty)
+        assert_bit_identical(engine, lenet_injector, empty)
+        for row in engine.evaluate_logits(empty):
+            assert np.array_equal(as_bits(row), as_bits(lenet_injector._golden_logits))
 
     @pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5])
     def test_lenet_all_layers(self, lenet_injector, p, rng):
-        evaluator = BatchedNetworkEvaluator(lenet_injector)
         model = BernoulliBitFlipModel(p)
         configurations = [
             FaultConfiguration.sample(lenet_injector.parameter_targets, model, rng)
             for _ in range(4)
         ]
-        assert_bit_identical(evaluator, lenet_injector, configurations)
+        assert_bit_identical(lenet_injector._engine(), lenet_injector, configurations)
 
     @pytest.mark.parametrize("p", [1e-3, 0.5])
     def test_resnet_mid_layer(self, resnet_injector, p, rng):
-        evaluator = BatchedNetworkEvaluator(resnet_injector)
         model = BernoulliBitFlipModel(p)
         configurations = [
             FaultConfiguration.sample(resnet_injector.parameter_targets, model, rng)
             for _ in range(4)
         ]
-        assert_bit_identical(evaluator, resnet_injector, configurations)
+        assert_bit_identical(resnet_injector._engine(), resnet_injector, configurations)
+
+    def test_error_taxonomy_matches_guard(self, lenet_injector, rng):
+        """The fast statistic scores and counts hazards like the standard one."""
+        fault_model = BernoulliBitFlipModel(0.05, bits=EXPONENT_LANES)
+        configurations = [
+            FaultConfiguration.sample(lenet_injector.parameter_targets, fault_model, rng)
+            for _ in range(6)
+        ]
+        guards = {fast: NumericalHazardGuard() for fast in (None, False)}
+        values = {
+            fast: [lenet_injector.make_statistic(None, rng, guard=guard, fast=fast)(c) for c in configurations]
+            for fast, guard in guards.items()
+        }
+        assert values[None] == values[False]
+        fast_report, standard_report = (guard.report() for guard in guards.values())
+        assert standard_report.hazard_rows > 0, "regime failed to trigger hazards"
+        assert (fast_report.evaluations, fast_report.rows, fast_report.hazard_rows) == (
+            standard_report.evaluations, standard_report.rows, standard_report.hazard_rows
+        )
+
+    def test_empty_configuration_list_rejected(self, lenet_injector):
+        with pytest.raises(ValueError, match="at least one"):
+            lenet_injector._engine().evaluate_logits([])
+
+    def test_flipped_exponent_becomes_hazard_row(self, trained_mlp, moons_eval):
+        eval_x, eval_y = moons_eval
+        injector = BayesianFaultInjector(
+            trained_mlp, eval_x, eval_y, spec=TargetSpec.single_layer("layers.2"), seed=0
+        )
+        masks = {name: np.zeros(p.shape, dtype=np.uint32) for name, p in injector.parameter_targets}
+        weight_bits = dict(injector.parameter_targets)["layers.2.weight"].data.view(np.uint32)
+        # set every exponent bit of one output weight: its logit column turns non-finite
+        masks["layers.2.weight"][0, 0] = ~weight_bits[0, 0] & np.uint32(0x7F800000)
+        configuration = FaultConfiguration(masks)
+        assert_bit_identical(injector._engine(), injector, [configuration])
+
+        guard = NumericalHazardGuard()
+        value = injector.make_statistic(None, np.random.default_rng(0), guard=guard)(configuration)
+        assert value == 1.0
+        assert guard.report().hazard_rows == len(eval_y)
+
+    @pytest.mark.parametrize(
+        "model_id,layer,cut",
+        [
+            ("mlp", "layers.0", 1),  # only the synthetic flatten precedes it
+            ("mlp", "layers.2", 3),
+            ("resnet", "stem.0", 0),
+            ("resnet", "stages.3.1.conv2", None),
+            ("resnet", "fc", None),
+        ],
+    )
+    def test_every_cut_position(
+        self, model_id, layer, cut, trained_mlp, moons_eval, tiny_resnet, tiny_images, rng
+    ):
+        injector = layer_injector(model_id, layer, trained_mlp, moons_eval, tiny_resnet, tiny_images)
+        engine = injector._engine()
+        if cut is not None:
+            assert engine.cut == cut
+        else:
+            assert engine.cut == engine.owners[f"{layer}.weight"] > 0
+        for p in (1e-3, 0.5):
+            configurations = [
+                FaultConfiguration.sample(injector.parameter_targets, BernoulliBitFlipModel(p), rng)
+                for _ in range(3)
+            ]
+            assert_bit_identical(engine, injector, configurations)
+
+    def test_engine_built_once(self, lenet_injector):
+        engine = lenet_injector._engine()
+        assert lenet_injector._engine() is engine
+        assert lenet_injector._engine(True) is engine
 
     @pytest.mark.parametrize(
         "lanes", [None, (31,), EXPONENT_LANES, MANTISSA_LANES], ids=["all", "sign", "exp", "mant"]
     )
     def test_lane_restrictions(self, lenet_injector, lanes, rng):
-        evaluator = BatchedNetworkEvaluator(lenet_injector)
         model = BernoulliBitFlipModel(0.01, bits=lanes)
         configurations = [
             FaultConfiguration.sample(lenet_injector.parameter_targets, model, rng)
             for _ in range(3)
         ]
-        assert_bit_identical(evaluator, lenet_injector, configurations)
+        assert_bit_identical(lenet_injector._engine(), lenet_injector, configurations)
 
     def test_no_fault_leakage_into_golden_model(self, lenet_injector, rng):
         """The sweep stacks faulted copies; the live parameters never change."""
-        evaluator = BatchedNetworkEvaluator(lenet_injector)
-        golden = {
-            name: param.data.copy() for name, param in lenet_injector.parameter_targets
-        }
+        golden = snapshot(lenet_injector)
         configurations = [
             FaultConfiguration.sample(
                 lenet_injector.parameter_targets, BernoulliBitFlipModel(0.1), rng
             )
             for _ in range(4)
         ]
-        evaluator.evaluate_logits(configurations)
-        for name, param in lenet_injector.parameter_targets:
-            assert np.array_equal(param.data.view(np.uint32), golden[name].view(np.uint32))
-
-    def test_error_taxonomy_matches_guard(self, lenet_injector, rng):
-        """evaluate() applies the hazard-aware scoring of the sequential path."""
-        statistic = lenet_injector.make_statistic(None, rng)
-        evaluator = BatchedNetworkEvaluator(lenet_injector)
-        configurations = [
-            FaultConfiguration.sample(
-                lenet_injector.parameter_targets, BernoulliBitFlipModel(0.05), rng
-            )
-            for _ in range(6)
-        ]
-        batched = evaluator.evaluate(configurations)
-        sequential = np.asarray([statistic(c) for c in configurations])
-        assert np.array_equal(batched, sequential)
+        lenet_injector._engine().evaluate_logits(configurations)
+        assert_untouched(lenet_injector, golden)
 
 
 class TestFastCampaignIdentity:
     @pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5])
-    def test_forward_campaign_bit_identical(self, lenet_injector, p):
-        slow = BayesianFaultInjector(
-            lenet_injector.model, lenet_injector.inputs, lenet_injector.labels,
-            spec=TargetSpec.weights_and_biases(), seed=3, fast=False,
-        )
-        fast = BayesianFaultInjector(
-            lenet_injector.model, lenet_injector.inputs, lenet_injector.labels,
-            spec=TargetSpec.weights_and_biases(), seed=3, fast=True,
-        )
+    def test_forward_campaign_bit_identical(self, lenet_setup, p):
+        model, x, y = lenet_setup
+        spec = TargetSpec.weights_and_biases()
+        slow = BayesianFaultInjector(model, x, y, spec=spec, seed=3, fast=False)
+        fast = BayesianFaultInjector(model, x, y, spec=spec, seed=3, fast=True)
         rs = slow.forward_campaign(p, samples=20, chains=2)
         rf = fast.forward_campaign(p, samples=20, chains=2)
         for cs, cf in zip(rs.chains.chains, rf.chains.chains):
@@ -157,20 +265,19 @@ class TestFastCampaignIdentity:
         spec = TargetSpec.single_layer("stages.3.1.conv2")
         slow = BayesianFaultInjector(tiny_resnet, x, y, spec=spec, seed=5, fast=False)
         fast = BayesianFaultInjector(tiny_resnet, x, y, spec=spec, seed=5)
-        assert fast._prefix_forward() is not None and fast._prefix_forward().engaged
+        assert fast._engine().cut > 0
         rs = slow.mcmc_campaign(1e-3, chains=2, steps=10)
         rf = fast.mcmc_campaign(1e-3, chains=2, steps=10)
         for cs, cf in zip(rs.chains.chains, rf.chains.chains):
             assert np.array_equal(cs.values, cf.values)
         assert rs.chains.accepted_total() == rf.chains.accepted_total()
 
-    def test_fast_false_disables_machinery(self, lenet_injector):
+    def test_fast_false_disables_machinery(self, lenet_setup):
+        model, x, y = lenet_setup
         slow = BayesianFaultInjector(
-            lenet_injector.model, lenet_injector.inputs, lenet_injector.labels,
-            spec=TargetSpec.weights_and_biases(), seed=3, fast=False,
+            model, x, y, spec=TargetSpec.weights_and_biases(), seed=3, fast=False
         )
-        assert slow._prefix_forward() is None
-        assert slow._batched_evaluator() is None
+        assert slow._engine() is None
 
 
 class TestFastValidation:
@@ -184,8 +291,6 @@ class TestFastValidation:
             )
 
     def test_fast_true_raises_for_undecomposable_model(self, moons_eval):
-        from repro.nn import MLP
-
         class Custom(Module):
             def __init__(self):
                 super().__init__()
@@ -195,6 +300,7 @@ class TestFastValidation:
                 return self.inner(x)
 
         eval_x, eval_y = moons_eval
+        assert BayesianFaultInjector(Custom().eval(), eval_x, eval_y)._engine() is None
         injector = BayesianFaultInjector(Custom().eval(), eval_x, eval_y, fast=True)
         with pytest.raises(ValueError, match="fast=True"):
             injector.forward_campaign(1e-3, samples=4, chains=1)
@@ -205,8 +311,9 @@ class TestFastValidation:
             trained_mlp, eval_x, eval_y,
             spec=TargetSpec(surfaces=(FaultSurface.WEIGHTS, FaultSurface.ACTIVATIONS)),
         )
-        assert injector._prefix_forward() is None
-        assert injector._batched_evaluator() is None
+        assert injector._engine() is None
+        with pytest.raises(ValueError, match="parameter surfaces"):
+            BatchedNetworkEvaluator(injector)
         result = injector.forward_campaign(1e-3, samples=8, chains=2)
         assert result.chains.steps == 4
 

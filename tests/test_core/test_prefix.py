@@ -1,12 +1,11 @@
-"""Clean-prefix activation caching: chain decomposition and bit-identity."""
+"""Forward-chain decomposition: bit-identity and target ownership."""
 
 import numpy as np
-import pytest
 
-from repro.core.prefix import PrefixCachedForward, forward_chain, owning_step, run_chain
-from repro.faults import BernoulliBitFlipModel, FaultConfiguration, TargetSpec, apply_configuration
-from repro.faults.targets import resolve_parameter_targets
-from repro.nn import LeNet, MLP
+from repro.core import BayesianFaultInjector
+from repro.core.prefix import forward_chain, run_chain
+from repro.faults import FaultConfiguration, TargetSpec
+from repro.nn import LeNet
 from repro.nn.module import Module
 from repro.tensor.tensor import Tensor, no_grad
 
@@ -50,75 +49,12 @@ class TestForwardChain:
 
         assert forward_chain(Custom()) is None
 
-    def test_owning_step(self, tiny_resnet):
-        steps = forward_chain(tiny_resnet)
-        fc_owner = owning_step(steps, "fc.weight")
-        stem_owner = owning_step(steps, "stem.0.weight")
-        assert fc_owner == len(steps) - 1
-        assert stem_owner is not None and stem_owner < fc_owner
-        assert owning_step(steps, "nonexistent.weight") is None
-
-
-class TestPrefixCachedForward:
-    @pytest.mark.parametrize("layer", ["layers.2"])
-    @pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5])
-    def test_mlp_faulted_forward_bit_identical(self, trained_mlp, moons_eval, layer, p, rng):
-        x = Tensor(moons_eval[0])
-        targets = resolve_parameter_targets(trained_mlp, TargetSpec.single_layer(layer))
-        cached = PrefixCachedForward(trained_mlp, x, [name for name, _ in targets])
-        assert cached.engaged
-        for _ in range(5):
-            configuration = FaultConfiguration.sample(targets, BernoulliBitFlipModel(p), rng)
-            with apply_configuration(trained_mlp, configuration), no_grad(), np.errstate(all="ignore"):
-                fast = cached.forward()
-                standard = trained_mlp(x)
-            assert np.array_equal(logits_bits(fast), logits_bits(standard))
-
-    @pytest.mark.parametrize("layer", ["stages.3.1.conv2", "fc"])
-    def test_resnet_faulted_forward_bit_identical(self, tiny_resnet, tiny_images, layer, rng):
-        x = Tensor(tiny_images[0])
-        targets = resolve_parameter_targets(tiny_resnet, TargetSpec.single_layer(layer))
-        cached = PrefixCachedForward(tiny_resnet, x, [name for name, _ in targets])
-        assert cached.engaged
-        for p in (1e-3, 0.5):
-            configuration = FaultConfiguration.sample(targets, BernoulliBitFlipModel(p), rng)
-            with apply_configuration(tiny_resnet, configuration), no_grad(), np.errstate(all="ignore"):
-                fast = cached.forward()
-                standard = tiny_resnet(x)
-            assert np.array_equal(logits_bits(fast), logits_bits(standard))
-
-    def test_first_layer_target_disengages(self, trained_mlp, moons_eval, tiny_resnet, tiny_images):
-        # MLP: only the synthetic flatten precedes layers.0 — nothing to cache
-        x = Tensor(moons_eval[0])
-        targets = resolve_parameter_targets(trained_mlp, TargetSpec.single_layer("layers.0"))
-        cached = PrefixCachedForward(trained_mlp, x, [name for name, _ in targets])
-        assert not cached.engaged
-        # ResNet: the stem conv is the very first chain step (cut = 0)
-        targets = resolve_parameter_targets(tiny_resnet, TargetSpec.single_layer("stem.0"))
-        cached = PrefixCachedForward(
-            tiny_resnet, Tensor(tiny_images[0]), [name for name, _ in targets]
-        )
-        assert not cached.engaged
-
-    def test_unsupported_model_disengages(self, moons_eval):
-        class Custom(Module):
-            def __init__(self):
-                super().__init__()
-                self.inner = MLP(2, (4,), 2, rng=0)
-
-            def forward(self, x):
-                return self.inner(x)
-
-        model = Custom().eval()
-        cached = PrefixCachedForward(model, Tensor(moons_eval[0]), ["inner.layers.0.weight"])
-        assert not cached.engaged
-
-    def test_prefix_activation_computed_once(self, trained_mlp, moons_eval):
-        x = Tensor(moons_eval[0])
-        targets = resolve_parameter_targets(trained_mlp, TargetSpec.single_layer("layers.2"))
-        cached = PrefixCachedForward(trained_mlp, x, [name for name, _ in targets])
-        first = cached.prefix_activation()
-        assert cached.prefix_activation() is first
+    def test_owning_step(self, tiny_resnet, tiny_images):
+        x, y = tiny_images
+        spec = TargetSpec.weights_and_biases(include_layers=("stem.0", "fc"))
+        engine = BayesianFaultInjector(tiny_resnet, x, y, spec=spec)._engine()
+        assert engine.owners["fc.weight"] == len(engine.steps) - 1
+        assert engine.owners["stem.0.weight"] == 0 == engine.cut
 
 
 class TestChainEdgeCases:
@@ -126,7 +62,8 @@ class TestChainEdgeCases:
         steps = forward_chain(trained_mlp)
         assert steps[0].module is None and steps[0].name == "<flatten>"
         # The synthetic step owns no parameters and is skipped by ownership
-        assert owning_step(steps, "layers.0.weight") == 1
+        engine = BayesianFaultInjector(trained_mlp, *moons_eval)._engine()
+        assert engine.owners["layers.0.weight"] == 1
         # Flattening an already-2D batch is the identity
         x = Tensor(moons_eval[0])
         assert steps[0](x) is x
@@ -137,18 +74,15 @@ class TestChainEdgeCases:
     def test_first_segment_fault_runs_with_zero_reuse(self, trained_mlp, moons_eval, rng):
         """A fault in the first real segment leaves nothing to cache, but the
         delta chain path must still run (from the golden input) bit-identically."""
-        from repro.core import BayesianFaultInjector
-
         eval_x, eval_y = moons_eval
         spec = TargetSpec.single_layer("layers.0")
         slow = BayesianFaultInjector(trained_mlp, eval_x, eval_y, spec=spec, seed=8, fast=False)
         fast = BayesianFaultInjector(trained_mlp, eval_x, eval_y, spec=spec, seed=8)
-        assert fast._prefix_forward() is None  # zero-reuse regime
-        engine = fast._chain_engine(None)
-        assert engine is not None
+        engine = fast._engine()
         # The static cut sits right at the first faultable segment (only the
         # synthetic flatten precedes it): no parameterized prefix to reuse.
-        assert min(engine.owners.values()) == engine.base
+        assert engine.cut == 1
+        assert np.array_equal(engine.prefix, eval_x)
         rs = slow.mcmc_campaign(1e-3, chains=2, steps=8)
         rf = fast.mcmc_campaign(1e-3, chains=2, steps=8)
         for cs, cf in zip(rs.chains.chains, rf.chains.chains):
@@ -156,28 +90,19 @@ class TestChainEdgeCases:
             assert np.array_equal(cs.accepts, cf.accepts)
 
     def test_cache_keyed_by_eval_batch(self, trained_mlp, moons_eval):
-        """A different evaluation batch needs (and gets) a different cache."""
-        eval_x, _ = moons_eval
-        x1 = Tensor(eval_x)
-        x2 = Tensor(eval_x[::-1].copy())
-        targets = resolve_parameter_targets(trained_mlp, TargetSpec.single_layer("layers.2"))
-        names = [name for name, _ in targets]
-        cached1 = PrefixCachedForward(trained_mlp, x1, names)
-        cached2 = PrefixCachedForward(trained_mlp, x2, names)
-        assert cached1.engaged and cached2.engaged
-        assert not np.array_equal(
-            cached1.prefix_activation().data, cached2.prefix_activation().data
+        """A different evaluation batch needs (and gets) a different prefix."""
+        eval_x, eval_y = moons_eval
+        spec = TargetSpec.single_layer("layers.2")
+        one = BayesianFaultInjector(trained_mlp, eval_x, eval_y, spec=spec, seed=8)
+        two = BayesianFaultInjector(
+            trained_mlp, eval_x[::-1].copy(), eval_y[::-1].copy(), spec=spec, seed=8
         )
-        # Each instance reproduces the golden forward of *its own* batch
-        with no_grad():
-            for cached, x in ((cached1, x1), (cached2, x2)):
-                assert np.array_equal(
-                    logits_bits(cached.forward()), logits_bits(trained_mlp(x))
-                )
+        assert one._engine().cut == two._engine().cut > 0
+        assert not np.array_equal(one._engine().prefix, two._engine().prefix)
 
     def test_batched_evaluator_prefix_tracks_injector_batch(self, trained_mlp, moons_eval):
         """Two injectors over different batches never share prefix activations."""
-        from repro.core import BatchedNetworkEvaluator, BayesianFaultInjector
+        from repro.core import BatchedNetworkEvaluator
 
         eval_x, eval_y = moons_eval
         spec = TargetSpec.single_layer("layers.2")

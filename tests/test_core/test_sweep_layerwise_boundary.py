@@ -10,6 +10,7 @@ from repro.core import (
     ProbabilitySweep,
 )
 from repro.core.layerwise import parameterised_layers
+from repro.exec import McmcSpec, StratifiedSpec
 from repro.faults import BernoulliBitFlipModel, TargetSpec
 
 
@@ -43,13 +44,15 @@ class TestProbabilitySweep:
 
     def test_stratified_method(self, injector):
         sweep = ProbabilitySweep(
-            injector, p_values=tuple(np.logspace(-5, -3, 5)), samples=40, method="stratified"
+            injector,
+            p_values=tuple(np.logspace(-5, -3, 5)),
+            spec=StratifiedSpec(p=1e-5, samples_per_stratum=5),
         ).run()
         assert all(pt.campaign.method == "stratified" for pt in sweep.points)
 
     def test_mcmc_method(self, injector):
         sweep = ProbabilitySweep(
-            injector, p_values=(1e-3, 1e-2, 1e-1), samples=40, method="mcmc"
+            injector, p_values=(1e-3, 1e-2, 1e-1), spec=McmcSpec(p=1e-3, chains=2, steps=20)
         ).run()
         assert all(pt.campaign.completeness is not None for pt in sweep.points)
 
@@ -63,7 +66,7 @@ class TestProbabilitySweep:
             ProbabilitySweep(injector, p_values=(0.1, 0.01))  # not increasing
         with pytest.raises(ValueError):
             ProbabilitySweep(injector, p_values=(0.0, 0.1))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ProbabilitySweep(injector, method="exact")
 
 

@@ -1,4 +1,4 @@
-"""BayesianFaultInjector.run(spec): dispatch, timing, and the deprecated paths."""
+"""BayesianFaultInjector.run(spec): dispatch, timing, and the sweep spec API."""
 
 import numpy as np
 import pytest
@@ -77,35 +77,3 @@ class TestSweepSpecAPI:
         sweep = ProbabilitySweep(make_injector(), p_values=(1e-3, 1e-2), samples=20).run()
         assert (sweep.durations() > 0).all()
         assert all(row["duration_s"] > 0 for row in sweep.table())
-
-
-class TestDeprecatedMethodStrings:
-    @pytest.mark.parametrize("method", ["forward", "mcmc", "stratified"])
-    def test_strings_warn_but_work(self, make_injector, method):
-        with pytest.warns(DeprecationWarning, match="method=.*deprecated"):
-            sweep = ProbabilitySweep(
-                make_injector(), p_values=(1e-3, 1e-2), samples=24, method=method
-            )
-        sweep.run()
-        assert len(sweep.points) == 2
-
-    def test_string_path_equals_spec_path(self, make_injector):
-        with pytest.warns(DeprecationWarning):
-            legacy = ProbabilitySweep(
-                make_injector(), p_values=(1e-3, 1e-2), samples=24, method="forward"
-            ).run()
-        modern = ProbabilitySweep(
-            make_injector(), p_values=(1e-3, 1e-2), spec=ForwardSpec(p=1e-3, samples=24)
-        ).run()
-        for a, b in zip(legacy.points, modern.points):
-            assert np.array_equal(a.campaign.chains.matrix(), b.campaign.chains.matrix())
-
-    def test_unknown_method_rejected(self, make_injector):
-        with pytest.raises(ValueError, match="unknown sweep method"):
-            ProbabilitySweep(make_injector(), method="exact")
-
-    def test_method_and_spec_are_mutually_exclusive(self, make_injector):
-        with pytest.raises(ValueError, match="not both"):
-            ProbabilitySweep(
-                make_injector(), method="forward", spec=ForwardSpec(p=1e-3)
-            )

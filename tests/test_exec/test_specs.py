@@ -9,11 +9,9 @@ from repro.exec import (
     CampaignSpec,
     ForwardSpec,
     McmcSpec,
-    METHOD_SPECS,
     StratifiedSpec,
     TemperedSpec,
     TemperingSpec,
-    spec_from_method,
 )
 
 ALL_SPECS = (ForwardSpec, McmcSpec, TemperedSpec, TemperingSpec, AdaptiveSpec, StratifiedSpec)
@@ -107,27 +105,3 @@ class TestSpecBehaviour:
         kinds = {s.kind for s in ALL_SPECS}
         assert len(kinds) == len(ALL_SPECS)
         assert spec_type.kind
-
-
-class TestMethodMapping:
-    def test_legacy_strings_covered(self):
-        assert {"forward", "mcmc", "stratified"} <= set(METHOD_SPECS)
-
-    def test_forward_mapping_preserves_budget(self):
-        spec = spec_from_method("forward", p=1e-3, samples=120, chains=3)
-        assert isinstance(spec, ForwardSpec)
-        assert (spec.samples, spec.chains) == (120, 3)
-
-    def test_mcmc_mapping_matches_legacy_steps(self):
-        spec = spec_from_method("mcmc", p=1e-3, samples=100, chains=4)
-        assert isinstance(spec, McmcSpec)
-        assert spec.steps == max(4, 100 // 4)
-
-    def test_stratified_mapping_matches_legacy_budget(self):
-        spec = spec_from_method("stratified", p=1e-3, samples=100, chains=2)
-        assert isinstance(spec, StratifiedSpec)
-        assert spec.samples_per_stratum == max(4, 100 // 8)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep method"):
-            spec_from_method("exact", p=1e-3, samples=10, chains=2)
