@@ -53,6 +53,7 @@ Fig. 1 MLP on two-moons), ``mlp-images`` (small image MLP, Fig. 2 setup),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -83,10 +84,9 @@ from repro.faults import BernoulliBitFlipModel, TargetSpec
 from repro.nn import LeNet, MLP, paper_mlp
 from repro.nn.models import resnet18_cifar_small
 from repro.nn.module import Module
-from repro.obs import estimator as estimator_mod
-from repro.obs import flight as flight_mod
+from repro.obs.estimator import DEFAULT_MASS, StoppingTarget, publish_outcome
+from repro.obs.flight import FlightRecorder
 from repro.train import Adam, Trainer, load_checkpoint, save_checkpoint
-from repro.utils.logging import set_verbosity
 from repro.utils.persist import atomic_write_json
 
 __all__ = ["main", "build_parser", "WORKBENCHES", "Workbench", "build_workbench_model"]
@@ -350,67 +350,52 @@ def _add_observability(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _setup_observability(args) -> None:
-    """Install the instruments requested on the command line (process-global)."""
-    verbose = getattr(args, "verbose", 0)
-    if verbose:
-        set_verbosity("DEBUG" if verbose > 1 else "INFO")
-    if getattr(args, "trace", None):
-        obs.configure(tracer=True)
-    if getattr(args, "metrics", None) or getattr(args, "serve", None):
-        # a served /metrics endpoint needs the registry attached
-        obs.configure(metrics=True)
-    sinks = []
-    progress = getattr(args, "progress", None)
-    if progress is not None:
-        sinks.append(obs.StderrSink() if progress == "-" else obs.JsonlSink(progress))
+def _session_from_args(args) -> obs.Session:
+    """The observability session the command line asks for (not yet entered)."""
     target = None
     halfwidth = getattr(args, "target_halfwidth", None)
     if halfwidth is not None:
         try:
-            target = estimator_mod.StoppingTarget(
-                halfwidth, getattr(args, "target_mass", estimator_mod.DEFAULT_MASS)
-            )
+            target = StoppingTarget(halfwidth, getattr(args, "target_mass", DEFAULT_MASS))
         except ValueError as exc:
             raise SystemExit(f"--target-halfwidth: {exc}") from exc
     serve = getattr(args, "serve", None)
-    estimator = None
+    endpoint = status = None
+    if serve is not None:
+        from repro.obs.server import parse_endpoint
+
+        try:
+            endpoint = parse_endpoint(serve)
+        except ValueError as exc:
+            raise SystemExit(f"--serve: {exc}") from exc
     if serve is not None or target is not None:
         # live posterior telemetry: always on with a server (it backs
         # /estimates), and with a stopping target even headless
-        estimator = estimator_mod.install(estimator_mod.EstimatorTracker(target=target))
-        sinks.append(estimator)
-        args._estimator = estimator
-    if serve is not None:
-        from repro.obs.server import SseSink, StatusServer, StatusTracker, parse_endpoint
+        from repro.obs.server import StatusTracker
 
-        try:
-            host, port = parse_endpoint(serve)
-        except ValueError as exc:
-            raise SystemExit(f"--serve: {exc}") from exc
-        tracker, sse = StatusTracker(), SseSink()
-        sinks.extend((tracker, sse))
-        try:
-            server = StatusServer(
-                host, port, tracker=tracker, sse=sse, estimator=estimator,
-                labels={"pid": str(os.getpid())},
-            ).start()
-        except OSError as exc:
-            raise SystemExit(f"--serve: cannot bind {serve!r}: {exc}") from exc
-        args._status_server = server
-        print(f"status server: {server.url} "
-              "(endpoints: /status /metrics /estimates /events /healthz)", file=sys.stderr)
-    if sinks:
-        obs.configure(progress=sinks[0] if len(sinks) == 1 else obs.TeeSink(*sinks))
-    if getattr(args, "profile", None) is not None:
-        obs.configure(profiler=True)
+        status = StatusTracker(target=target)
+    progress = getattr(args, "progress", None)
+    sinks = []
+    if progress is not None:
+        sinks.append(obs.StderrSink() if progress == "-" else obs.JsonlSink(progress))
     flight_dir = getattr(args, "flight_recorder", None)
-    if flight_dir is not None:
-        recorder = flight_mod.install(flight_mod.FlightRecorder(autodump_dir=flight_dir))
-        flight_mod.enable_signal_dump(recorder)
+    verbose = getattr(args, "verbose", 0)
+    return obs.Session(
+        # a served /metrics endpoint needs the registry attached
+        metrics=bool(getattr(args, "metrics", None) or serve),
+        tracer=bool(getattr(args, "trace", None)),
+        profiler=getattr(args, "profile", None) is not None,
+        sinks=sinks,
+        status=status,
+        recorder=FlightRecorder(autodump_dir=flight_dir) if flight_dir is not None else None,
+        serve=endpoint,
+        labels={"pid": str(os.getpid())},
+        signal_dump=True,
+        verbosity=("DEBUG" if verbose > 1 else "INFO") if verbose else None,
+    )
 
 
-def _finalize_observability(args) -> None:
+def _write_artifacts(args, session: obs.Session) -> None:
     """Flush requested artifacts; runs even when the command fails (partial data helps).
 
     Artifact writes are best-effort: a full disk at shutdown must not mask
@@ -425,12 +410,12 @@ def _finalize_observability(args) -> None:
             print(f"{label} written to {path}{hint}", file=sys.stderr)
 
     trace_path = getattr(args, "trace", None)
-    if trace_path and obs.tracer().enabled:
-        _write("trace", trace_path, lambda: obs.tracer().save(trace_path),
+    if trace_path and session.tracer.enabled:
+        _write("trace", trace_path, lambda: session.tracer.save(trace_path),
                hint=" (open in Perfetto)")
     profile_arg = getattr(args, "profile", None)
-    profiler = obs.profiler()
-    registry = obs.metrics()
+    profiler = session.profiler
+    registry = session.metrics
     if profile_arg is not None and profiler is not None:
         if registry is not None:
             # project profile totals so --metrics and --profile compose
@@ -446,20 +431,17 @@ def _finalize_observability(args) -> None:
                lambda: atomic_write_json(
                    metrics_path, {**obs.artifact_stamp(), **registry.snapshot()}
                ))
-    server = getattr(args, "_status_server", None)
-    if server is not None:
-        server.stop()
-    estimator = getattr(args, "_estimator", None)
-    if estimator is not None:
-        if estimator.target is not None and estimator.contributions:
-            for line in estimator_mod.StoppingMonitor(estimator).report_lines():
-                print(line, file=sys.stderr)
-        estimator_mod.uninstall()
-    recorder = flight_mod.active()
-    if recorder is not None:
-        for path in recorder.dumps:
+
+
+def _print_session_reports(session: obs.Session) -> None:
+    """The stopping monitor's verdict and any postmortem bundles written."""
+    estimator = session.status.estimator if session.status is not None else None
+    if estimator is not None and estimator.target is not None and estimator.contributions:
+        for line in estimator.report_lines():
+            print(line, file=sys.stderr)
+    if session.recorder is not None:
+        for path in session.recorder.dumps:
             print(f"postmortem bundle written to {path}", file=sys.stderr)
-        flight_mod.uninstall()
 
 
 def _print_executor_summary(executor) -> None:
@@ -490,17 +472,19 @@ def _validate_journal_path(path: str) -> None:
             )
 
 
-def _open_journal(args, specs) -> CampaignJournal | None:
+def _open_journal(args, specs) -> "contextlib.AbstractContextManager[CampaignJournal | None]":
     """Open/create the campaign journal requested on the command line.
 
     Validates the ``--journal`` / ``--resume`` combinations: resuming
     requires both the flag and an existing journal file, while starting a
     fresh run refuses to silently append to a journal that already exists.
+    Use it as a context manager: it yields the journal (``None`` without
+    ``--journal``) and closes it on the way out.
     """
     if args.resume and not args.journal:
         raise SystemExit("--resume requires --journal PATH (nothing to resume from)")
     if not args.journal:
-        return None
+        return contextlib.nullcontext()
     _validate_journal_path(args.journal)
     fingerprint = campaign_fingerprint(specs, args.seed)
     try:
@@ -522,6 +506,7 @@ def _open_journal(args, specs) -> CampaignJournal | None:
 
 
 def _print_journal_status(journal, executor=None) -> None:
+    """The journal's tally (a closed journal still knows its entries)."""
     if journal is None:
         return
     if journal.hits:
@@ -572,15 +557,15 @@ def _cmd_campaign(args) -> int:
     injector, recipe = _campaign_setup(args)
     print(f"golden error: {injector.golden_error:.2%}")
     spec = _campaign_spec_from_args(args)
-    journal = _open_journal(args, [spec])
-    executor = None
-    if args.workers > 1 or journal is not None or _needs_executor(args):
-        # the executor path journals completed tasks even at workers=1
-        executor = _resilient_executor(recipe, args, journal)
-        campaign = executor.run([spec])[0]
-    else:
-        campaign = injector.run(spec)
-        estimator_mod.publish_outcome(0, campaign, spec=spec, target=injector.spec)
+    with _open_journal(args, [spec]) as journal:
+        executor = None
+        if args.workers > 1 or journal is not None or _needs_executor(args):
+            # the executor path journals completed tasks even at workers=1
+            executor = _resilient_executor(recipe, args, journal)
+            campaign = executor.run([spec])[0]
+        else:
+            campaign = injector.run(spec)
+            publish_outcome(0, campaign, spec=spec, target=injector.spec)
     if campaign is None:  # quarantined under --on-failure degrade
         failure = executor.stats.failed_tasks[0] if executor.stats.failed_tasks else None
         reason = failure.reason if failure else "task failed"
@@ -605,13 +590,13 @@ def _cmd_sweep(args) -> int:
     injector, recipe = _campaign_setup(args)
     p_values = tuple(np.logspace(np.log10(args.p_min), np.log10(args.p_max), args.points))
     base_spec = ForwardSpec(p=float(p_values[0]), samples=args.samples, chains=args.chains)
-    journal = _open_journal(args, [base_spec.with_p(float(p)) for p in p_values])
-    executor = None
-    if args.workers > 1 or _needs_executor(args):
-        executor = _resilient_executor(recipe, args, journal)
-    sweep = ProbabilitySweep(
-        injector, p_values=p_values, spec=base_spec, executor=executor, journal=journal
-    ).run()
+    with _open_journal(args, [base_spec.with_p(float(p)) for p in p_values]) as journal:
+        executor = None
+        if args.workers > 1 or _needs_executor(args):
+            executor = _resilient_executor(recipe, args, journal)
+        sweep = ProbabilitySweep(
+            injector, p_values=p_values, spec=base_spec, executor=executor, journal=journal
+        ).run()
     _print_journal_status(journal, executor)
     _print_executor_summary(executor)
     if sweep.degraded:
@@ -645,17 +630,17 @@ def _cmd_layerwise(args) -> int:
     _, evaluation = workbench.build_data(args.train_size, args.eval_size)
     features, labels = evaluation.arrays()
     spec = ForwardSpec(p=args.p, samples=args.samples, chains=1)
-    journal = _open_journal(args, [spec])
-    executor = None
-    if args.workers > 1 or _needs_executor(args):
-        executor = _resilient_executor(None, args, journal)
-    campaign = LayerwiseCampaign(
-        model, features[: args.eval_size], labels[: args.eval_size],
-        p=args.p, samples=args.samples, chains=1, seed=args.seed,
-        executor=executor, journal=journal,
-        model_builder=functools.partial(build_workbench_model, args.workbench),
-        fast=getattr(args, "fast", None),
-    ).run()
+    with _open_journal(args, [spec]) as journal:
+        executor = None
+        if args.workers > 1 or _needs_executor(args):
+            executor = _resilient_executor(None, args, journal)
+        campaign = LayerwiseCampaign(
+            model, features[: args.eval_size], labels[: args.eval_size],
+            p=args.p, samples=args.samples, chains=1, seed=args.seed,
+            executor=executor, journal=journal,
+            model_builder=functools.partial(build_workbench_model, args.workbench),
+            fast=getattr(args, "fast", None),
+        ).run()
     _print_journal_status(journal, executor)
     _print_executor_summary(executor)
     if campaign.degraded:
@@ -932,12 +917,22 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _setup_observability(args)
+    session = _session_from_args(args)
     try:
+        session.__enter__()
+    except OSError as exc:
+        raise SystemExit(f"--serve: cannot bind {args.serve!r}: {exc}") from exc
+    try:
+        if session.server is not None:
+            print(f"status server: {session.server.url} "
+                  "(endpoints: /status /metrics /estimates /events /healthz)", file=sys.stderr)
         return args.handler(args)
     finally:
-        _finalize_observability(args)
-        obs.reset()
+        try:
+            _write_artifacts(args, session)
+        finally:
+            session.__exit__(None, None, None)
+        _print_session_reports(session)
 
 
 if __name__ == "__main__":

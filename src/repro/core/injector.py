@@ -90,7 +90,7 @@ def _record_configuration(metrics, configuration: FaultConfiguration) -> None:
     """Detailed per-evaluation counters: flips by IEEE-754 field and by layer.
 
     Runs on the statistic hot path, but only when a driver registry is
-    attached (``--metrics`` / ``obs.configure(metrics=...)``). Counts are
+    attached (``--metrics`` / ``obs.Session(metrics=True)``). Counts are
     pure functions of the configuration, so sequential and parallel runs
     reduce to identical totals.
     """
@@ -336,19 +336,16 @@ class BayesianFaultInjector:
         # the authoritative digest below is stamped unconditionally
         if obs.metrics() is not None:
             self._active_metrics = campaign_metrics
+        # Per-layer attribution + campaign phase grouping. The hooks are
+        # passive (clock reads only) and removed on exit, so results are
+        # bit-identical with or without a profiler attached.
         profiler = obs.profiler()
+        layer_context = contextlib.nullcontext()
         if profiler is not None:
-            # Per-layer attribution + campaign phase grouping. The hooks are
-            # passive (clock reads only) and removed on exit, so results are
-            # bit-identical with or without a profiler attached.
             layer_context = obs.profile_module(self.model, profiler)
-            phase_context = profiler.phase(f"campaign.{spec.kind}")
-        else:
-            layer_context = contextlib.nullcontext()
-            phase_context = contextlib.nullcontext()
         try:
             with obs.span(f"campaign.{spec.kind}", p=spec.p, stream=getattr(spec, "stream", None)):
-                with phase_context, layer_context:
+                with obs.phase(f"campaign.{spec.kind}"), layer_context:
                     with Timer() as timer:
                         outcome = handler(spec)
         finally:
@@ -601,7 +598,7 @@ class BayesianFaultInjector:
                         value = guard.score(row, self.labels)
                         chain.record(value, configuration.total_flips(), accepted=True)
                         done += 1
-                        if obs.progress() is not None and done % PROGRESS_EVERY == 0:
+                        if obs.listening() and done % PROGRESS_EVERY == 0:
                             window = chain.recent(PROGRESS_EVERY)
                             obs.publish(
                                 "chain.progress",
@@ -728,7 +725,7 @@ class BayesianFaultInjector:
             chain_set = ChainSet(chain_objs)
             report = criterion.assess(chain_set)
             _LOGGER.info("adaptive campaign p=%g: %s", p, report)
-            if obs.progress() is not None:
+            if obs.listening():
                 # live view: diagnostics over the trailing window alongside the
                 # full-history report, so late drift is visible as it happens
                 live = criterion.assess_window(chain_set, max(4, 2 * spec.batch_steps))

@@ -234,7 +234,8 @@ class ChaosInjector:
 
 
 # ---------------------------------------------------------------------- #
-# process-global installation (mirrors repro.obs.configure)
+# process-global installation (apart from repro.obs.Session: chaos
+# injects faults rather than observing them)
 # ---------------------------------------------------------------------- #
 
 _active: ChaosInjector | None = None

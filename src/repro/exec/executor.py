@@ -54,7 +54,6 @@ import numpy as np
 import repro.obs as obs
 from repro.exec import chaos as chaos_mod
 from repro.exec.specs import CampaignSpec
-from repro.obs import flight as flight_mod
 from repro.obs.estimator import publish_outcome
 from repro.obs.profile import clock_s
 from repro.faults.targets import TargetSpec
@@ -331,11 +330,11 @@ def _enact_worker_chaos(chaos_ctx) -> None:
         time.sleep(plan.slow_start_s)
 
 
-def _worker_main(task: CampaignTask, connection, obs_config=None, chaos_ctx=None) -> None:
+def _worker_main(task: CampaignTask, connection, obs_config: obs.WorkerObsConfig, chaos_ctx=None) -> None:
     """Worker entry point: rebuild the injector, run the spec, ship the result.
 
     ``obs_config`` is the driver's :class:`~repro.obs.WorkerObsConfig`:
-    applying it first replaces any observability state inherited through
+    entering its session first replaces any observability state inherited through
     ``fork`` (and the default WARNING verbosity under spawn) with fresh
     instruments, so worker logs honour the driver's ``set_verbosity`` and
     worker trace events never duplicate driver-recorded ones. Worker-side
@@ -346,14 +345,13 @@ def _worker_main(task: CampaignTask, connection, obs_config=None, chaos_ctx=None
     in workers too) and the ``worker.*`` sites are enacted at startup.
     """
     try:
-        if obs_config is not None:
-            obs.apply_worker_config(obs_config)
-        if chaos_ctx is not None:
-            _enact_worker_chaos(chaos_ctx)
-        with obs.span("worker.task", kind=task.spec.kind, p=task.spec.p):
-            injector = task.recipe.build()
-            result = injector.run(task.spec)
-        connection.send(("ok", result, obs.drain_worker_report()))
+        with obs_config.session() as session:
+            if chaos_ctx is not None:
+                _enact_worker_chaos(chaos_ctx)
+            with obs.span("worker.task", kind=task.spec.kind, p=task.spec.p):
+                injector = task.recipe.build()
+                result = injector.run(task.spec)
+            connection.send(("ok", result, session.worker_report()))
     except BaseException as exc:  # noqa: BLE001 — everything must cross the pipe
         try:
             connection.send(("error", exc))
@@ -514,10 +512,10 @@ class ParallelCampaignExecutor:
             self.stats.duration_s = clock_s() - started
             self._flush_stats()
             # postmortem before chaos uninstalls, so the bundle names the plan
-            if aborted:
-                flight_mod.autodump("executor.abort", stats=self.stats.to_dict())
-            elif self.stats.failed:
-                flight_mod.autodump("executor.degraded", stats=self.stats.to_dict())
+            recorder = obs.current().recorder
+            if recorder is not None and (aborted or self.stats.failed):
+                reason = "executor.abort" if aborted else "executor.degraded"
+                recorder.maybe_autodump(reason, stats=self.stats.to_dict())
             if installed_chaos:
                 chaos_mod.uninstall()
 
@@ -691,7 +689,7 @@ class ParallelCampaignExecutor:
         keys: Sequence,
     ) -> None:
         ctx = self._context()
-        obs_config = obs.worker_config()
+        obs_config = obs.current().worker_config()
         attempts = {index: 0 for index in pending_indexes}
         # pending entries are (index, not-before time): retries with backoff
         # re-enter the queue with a future ready time and wait their turn

@@ -41,11 +41,12 @@ import sys
 
 import numpy as np
 
+import repro.obs as obs
 from repro.exec import chaos as chaos_mod
 from repro.exec.executor import CampaignTask, InjectorRecipe, ParallelCampaignExecutor
 from repro.exec.journal import CampaignJournal
 from repro.exec.specs import ForwardSpec
-from repro.obs import flight as flight_mod
+from repro.obs.flight import FlightRecorder
 
 __all__ = ["SoakFailure", "run_soak", "main"]
 
@@ -140,19 +141,15 @@ def run_soak(seed: int, workdir: str, workers: int = 2) -> dict:
     # The flight recorder rides along for the chaos rounds so a contract
     # violation ships a postmortem bundle (recent events + chaos plan +
     # metrics), not just an assertion message.
-    recorder = flight_mod.install(
-        flight_mod.FlightRecorder(capacity=1024, autodump_dir=workdir)
-    )
+    recorder = FlightRecorder(capacity=1024, autodump_dir=workdir)
 
     def _violate(message: str) -> None:
         path = recorder.maybe_autodump(f"soak.seed{seed}")
         suffix = f" (postmortem: {path})" if path else ""
         raise SoakFailure(message + suffix, postmortem=path)
 
-    try:
+    with obs.Session(recorder=recorder):
         return _soak_rounds(seed, workdir, workers, tasks, clean, recorder, _violate)
-    finally:
-        flight_mod.uninstall()
 
 
 def _soak_rounds(seed, workdir, workers, tasks, clean, recorder, _violate) -> dict:

@@ -63,7 +63,7 @@ class ForwardSampler:
                 configuration = FaultConfiguration.sample(self.targets, self.fault_model, rng)
                 value = self.statistic(configuration)
                 chain.record(value, configuration.total_flips(), accepted=True)
-                if obs.progress() is not None and (step + 1) % PROGRESS_EVERY == 0:
+                if obs.listening() and (step + 1) % PROGRESS_EVERY == 0:
                     window = chain.recent(PROGRESS_EVERY)
                     obs.publish(
                         "chain.progress",

@@ -83,7 +83,7 @@ class MetropolisHastingsSampler:
                 if accepted:
                     state, state_stat, state_logd = candidate, candidate_stat, candidate_logd
                 chain.record(state_stat, state.total_flips(), accepted=accepted)
-                if obs.progress() is not None and (step + 1) % PROGRESS_EVERY == 0:
+                if obs.listening() and (step + 1) % PROGRESS_EVERY == 0:
                     obs.publish(
                         "chain.progress",
                         sampler="mcmc",
@@ -167,7 +167,7 @@ class MetropolisHastingsSampler:
                         states[i], stats[i], logds[i] = candidate, cand_stats[i], candidate_logd
                         sessions[i].commit()
                     chain_objs[i].record(stats[i], states[i].total_flips(), accepted=accepted)
-                if obs.progress() is not None and (step + 1) % PROGRESS_EVERY == 0:
+                if obs.listening() and (step + 1) % PROGRESS_EVERY == 0:
                     for chain in chain_objs:
                         obs.publish(
                             "chain.progress",

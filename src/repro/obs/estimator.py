@@ -23,16 +23,16 @@ Design, in the same spirit as :class:`~repro.obs.server.StatusTracker`:
   estimates document is a pure function of the set of delivered outcomes
   — sequential, pooled, and SIGKILL-resumed runs produce bit-identical
   documents regardless of delivery order.
-* :class:`StoppingMonitor` is strictly *advisory*: given a
-  :class:`StoppingTarget` (CI half-width at a credible mass) it stamps
-  the first task index at which each stratum — and the whole campaign —
-  crossed the target, and logs a human summary. Nothing here stops a
+* The stopping monitor (:meth:`EstimatorTracker.report_lines`) is
+  strictly *advisory*: given a :class:`StoppingTarget` (CI half-width at
+  a credible mass) it names the first task index at which each stratum
+  — and the whole campaign — crossed the target. Nothing here stops a
   run or touches an RNG stream; instrumented campaigns stay
   bit-identical to bare ones.
 
-The module keeps a process-global tracker (``install``/``active``/
-``uninstall``, mirroring :mod:`repro.obs.flight`) so the flight recorder
-can embed estimator state in postmortem bundles without an import cycle.
+A session's :class:`~repro.obs.server.StatusTracker` owns the tracker
+and feeds it every event, so ``/status``, ``/estimates``, ``repro top``
+and postmortem bundles all read the same fold.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.bayes.distributions import Beta
 from repro.obs.progress import ProgressEvent, ProgressSink
-from repro.utils.logging import get_logger
 
 __all__ = [
     "EVENT_KIND",
@@ -52,15 +51,9 @@ __all__ = [
     "HISTORY_POINTS",
     "StoppingTarget",
     "EstimatorTracker",
-    "StoppingMonitor",
     "outcome_payload",
     "publish_outcome",
-    "active",
-    "install",
-    "uninstall",
 ]
-
-_LOGGER = get_logger("obs.estimator")
 
 #: the progress-event kind carrying one campaign task's outcome counts
 EVENT_KIND = "estimate"
@@ -152,14 +145,12 @@ def publish_outcome(index: int, outcome, spec=None, target=None) -> None:
     """Publish one task outcome as an ``estimate`` event (free when unobserved).
 
     Payload construction costs a threshold scan over the error samples,
-    so the event is only built when a progress sink or flight recorder
-    would actually see it — the same guard :func:`repro.obs.publish`
-    applies, hoisted above the payload work.
+    so the event is only built when a sink would actually see it
+    (:func:`repro.obs.listening`).
     """
     import repro.obs as obs
-    from repro.obs import flight
 
-    if obs.progress() is None and flight.active() is None:
+    if not obs.listening():
         return
     obs.publish(EVENT_KIND, **outcome_payload(index, outcome, spec=spec, target=target))
 
@@ -327,6 +318,38 @@ class EstimatorTracker(ProgressSink):
 
     # -- exposition ---------------------------------------------------- #
 
+    def report_lines(self) -> list[str]:
+        """The advisory stopping monitor's report (one line per stratum).
+
+        Observational only — it names the first task index at which each
+        stratum crossed the :class:`StoppingTarget`, but never interrupts
+        the campaign.
+        """
+        if self.target is None:
+            raise ValueError("the stopping report needs a tracker with a StoppingTarget")
+        document = self.estimates()
+        lines = [
+            f"stopping monitor: target halfwidth {self.target.halfwidth:g} "
+            f"at {self.target.mass:.0%} credible mass"
+        ]
+        for doc in document["strata"]:
+            where = (
+                f"crossed at task {doc['crossed_at']}"
+                if doc["crossed_at"] is not None
+                else "not yet converged"
+            )
+            lines.append(
+                f"  layer={doc['layer']} bitfield={doc['bitfield']} "
+                f"p={doc['p']:.6g}: halfwidth {doc['halfwidth']:.4g} ({where})"
+            )
+        converged, crossed = document["converged"], document["overall"].get("crossed_at")
+        if converged is not None:
+            lines.append(
+                f"  {converged['converged']}/{converged['total']} strata at target"
+                + (f"; campaign crossed at task {crossed}" if crossed is not None else "")
+            )
+        return lines
+
     def metric_families(self) -> list[dict]:
         """OpenMetrics families for the ``/metrics`` endpoint.
 
@@ -369,105 +392,3 @@ class EstimatorTracker(ProgressSink):
                 }
             )
         return families
-
-
-# ---------------------------------------------------------------------- #
-# the advisory stopping monitor
-# ---------------------------------------------------------------------- #
-
-
-class StoppingMonitor:
-    """Advisory convergence reporting over an :class:`EstimatorTracker`.
-
-    Observational only — it renders and logs which strata crossed the
-    tracker's :class:`StoppingTarget` and at which task index, but never
-    interrupts the campaign. Early stopping stays a *decision* for the
-    budget allocator this telemetry was built to feed.
-    """
-
-    def __init__(self, tracker: EstimatorTracker) -> None:
-        if tracker.target is None:
-            raise ValueError("StoppingMonitor needs a tracker with a StoppingTarget")
-        self.tracker = tracker
-
-    @property
-    def target(self) -> StoppingTarget:
-        return self.tracker.target
-
-    def summary(self) -> dict:
-        """Crossing stamps per stratum plus the campaign-level verdict."""
-        document = self.tracker.estimates()
-        return {
-            "target": document["target"],
-            "converged": document["converged"],
-            "campaign_crossed_at": document["overall"].get("crossed_at"),
-            "strata": [
-                {
-                    "layer": doc["layer"],
-                    "bitfield": doc["bitfield"],
-                    "p": doc["p"],
-                    "halfwidth": doc["halfwidth"],
-                    "crossed_at": doc["crossed_at"],
-                }
-                for doc in document["strata"]
-            ],
-        }
-
-    def report_lines(self) -> list[str]:
-        """Human-readable crossing report (one line per stratum)."""
-        summary = self.summary()
-        target = summary["target"]
-        lines = [
-            f"stopping monitor: target halfwidth {target['halfwidth']:g} "
-            f"at {target['mass']:.0%} credible mass"
-        ]
-        for stratum in summary["strata"]:
-            where = (
-                f"crossed at task {stratum['crossed_at']}"
-                if stratum["crossed_at"] is not None
-                else "not yet converged"
-            )
-            lines.append(
-                f"  layer={stratum['layer']} bitfield={stratum['bitfield']} "
-                f"p={stratum['p']:.6g}: halfwidth {stratum['halfwidth']:.4g} ({where})"
-            )
-        converged = summary["converged"]
-        if converged is not None:
-            lines.append(
-                f"  {converged['converged']}/{converged['total']} strata at target"
-                + (
-                    f"; campaign crossed at task {summary['campaign_crossed_at']}"
-                    if summary["campaign_crossed_at"] is not None
-                    else ""
-                )
-            )
-        return lines
-
-    def log_report(self) -> None:
-        for line in self.report_lines():
-            _LOGGER.info("%s", line)
-
-
-# ---------------------------------------------------------------------- #
-# process-global installation (mirrors repro.obs.flight)
-# ---------------------------------------------------------------------- #
-
-_active: EstimatorTracker | None = None
-
-
-def active() -> EstimatorTracker | None:
-    """The installed tracker, or ``None`` (estimator telemetry off)."""
-    return _active
-
-
-def install(tracker: EstimatorTracker | None = None) -> EstimatorTracker:
-    """Install a tracker process-wide; returns the live instance."""
-    global _active
-    _active = tracker if tracker is not None else EstimatorTracker()
-    return _active
-
-
-def uninstall() -> None:
-    """Detach the process-global tracker."""
-    global _active
-    _active = None

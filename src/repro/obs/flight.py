@@ -6,15 +6,15 @@ always-on window of what happened **just before** things went wrong. The
 :class:`FlightRecorder` keeps a bounded ring buffer of recent structured
 events (every :func:`repro.obs.publish` event — chaos fires, worker
 heartbeats, retries, journal appends and CRC quarantines, task
-completions/failures — plus anything recorded explicitly) and, on
+completions/failures, chain progress) and, on
 campaign failure/degrade/abort or on ``SIGUSR1``, atomically dumps a
 *postmortem bundle*:
 
 * the ring buffer contents (most recent last),
-* the attached :class:`~repro.obs.MetricsRegistry` snapshot,
+* the session's :class:`~repro.obs.MetricsRegistry` snapshot,
 * the profiler hot-spot table (when ``--profile`` is on),
 * the active chaos plan and its per-site fire counts,
-* the installed estimator tracker's per-stratum posterior document
+* the per-stratum posterior document of the session's status fold
   (:mod:`repro.obs.estimator`), so a postmortem carries the statistical
   state of the campaign at death, not just its mechanics,
 * executor completeness accounting when the executor triggered the dump,
@@ -24,9 +24,10 @@ Bundles are written through :mod:`repro.utils.persist`
 (atomic + checksummed) and load back via :func:`load_postmortem`, which
 accepts stamp-less v0 bundles.
 
-Like every obs instrument the recorder is strictly passive: recording is
-an O(1) deque append under a lock, nothing touches an RNG stream, and
-when no recorder is installed the hook is a single ``None`` check.
+The recorder is an ordinary :class:`~repro.obs.progress.ProgressSink`
+of the current :class:`~repro.obs.Session`, and like every obs
+instrument it is strictly passive: recording is an O(1) deque append
+under a lock and nothing touches an RNG stream.
 """
 
 from __future__ import annotations
@@ -39,21 +40,12 @@ import sys
 import threading
 from typing import Mapping
 
+from repro.obs.progress import ProgressEvent, ProgressSink
 from repro.obs.schema import artifact_stamp, artifact_version
 from repro.utils.logging import get_logger
 from repro.utils.persist import atomic_write_json, read_checked_json, sanitize_nonfinite
 
-__all__ = [
-    "FlightRecorder",
-    "PostmortemError",
-    "active",
-    "install",
-    "uninstall",
-    "record",
-    "autodump",
-    "enable_signal_dump",
-    "load_postmortem",
-]
+__all__ = ["FlightRecorder", "PostmortemError", "enable_signal_dump", "load_postmortem"]
 
 _LOGGER = get_logger("obs.flight")
 
@@ -66,7 +58,7 @@ class PostmortemError(RuntimeError):
     """A postmortem bundle is unreadable or not a postmortem."""
 
 
-class FlightRecorder:
+class FlightRecorder(ProgressSink):
     """Bounded ring buffer of recent structured events with postmortem dumps.
 
     Parameters
@@ -98,19 +90,8 @@ class FlightRecorder:
     # recording
     # ------------------------------------------------------------------ #
 
-    def record(self, kind: str, **payload) -> None:
-        """Append one structured event to the ring (cheap, thread-safe)."""
-        import time
-
-        event = {"kind": kind, "wall_time": time.time(), "pid": os.getpid(), **payload}
-        with self._lock:
-            if len(self._ring) == self.capacity:
-                self._dropped += 1
-            self._ring.append(event)
-            self._recorded += 1
-
-    def record_event(self, event) -> None:
-        """Append a :class:`~repro.obs.progress.ProgressEvent` (publish hook)."""
+    def emit(self, event: ProgressEvent) -> None:
+        """Append one published event to the ring (cheap, thread-safe)."""
         with self._lock:
             if len(self._ring) == self.capacity:
                 self._dropped += 1
@@ -143,14 +124,12 @@ class FlightRecorder:
         import numpy
 
         import repro.obs as obs
+        from repro.exec import chaos
         from repro.obs.profile import wall_display
 
-        registry = obs.metrics()
-        profiler = obs.profiler()
-        chaos = sys.modules.get("repro.exec.chaos")
-        injector = chaos.active() if chaos is not None else None
-        estimator_mod = sys.modules.get("repro.obs.estimator")
-        estimator = estimator_mod.active() if estimator_mod is not None else None
+        session = obs.current()
+        registry, profiler, status = session.metrics, session.profiler, session.status
+        injector = chaos.active()
         with self._lock:
             events = list(self._ring)
             dropped = self._dropped
@@ -177,7 +156,7 @@ class FlightRecorder:
                 "chaos": None
                 if injector is None
                 else {"plan": injector.plan.describe(), "fired": injector.fired()},
-                "estimator": estimator.estimates() if estimator is not None else None,
+                "estimator": status.estimator.estimates() if status is not None else None,
                 "executor": dict(stats) if stats is not None else None,
             }
         )
@@ -218,62 +197,26 @@ class FlightRecorder:
         )
 
 
-# ---------------------------------------------------------------------- #
-# process-global installation (mirrors repro.exec.chaos)
-# ---------------------------------------------------------------------- #
-
-_active: FlightRecorder | None = None
-
-
-def active() -> FlightRecorder | None:
-    """The installed recorder, or ``None`` (recording off — the default)."""
-    return _active
-
-
-def install(recorder: FlightRecorder | None = None) -> FlightRecorder:
-    """Install a recorder process-wide; returns the live instance."""
-    global _active
-    _active = recorder if recorder is not None else FlightRecorder()
-    return _active
-
-
-def uninstall() -> None:
-    """Disable the flight recorder (the hook back to a ``None`` check)."""
-    global _active
-    _active = None
-
-
-def record(kind: str, **payload) -> None:
-    """Module-level hook: record iff a recorder is installed (free when off)."""
-    if _active is not None:
-        _active.record(kind, **payload)
-
-
-def autodump(reason: str, stats: Mapping | None = None) -> str | None:
-    """Module-level hook: auto-dump a bundle iff a recorder is installed."""
-    if _active is None:
-        return None
-    return _active.maybe_autodump(reason, stats=stats)
-
-
-def enable_signal_dump(recorder: FlightRecorder) -> bool:
+def enable_signal_dump(recorder: FlightRecorder):
     """Dump a postmortem bundle on ``SIGUSR1`` (where the platform has it).
 
-    Returns whether the handler was installed. Only callable from the
-    main thread (signal module restriction); the handler is best-effort
-    and never raises into the interrupted frame.
+    Returns the handler it replaced — pass it back to :func:`signal.signal`
+    to restore it — or ``None`` when nothing was installed (no
+    ``SIGUSR1``, or not the main thread). The handler is best-effort and
+    never raises into the interrupted frame.
     """
     if not hasattr(signal, "SIGUSR1"):
-        return False
+        return None
 
     def _handler(signum, frame):  # noqa: ARG001 — signal handler signature
         recorder.maybe_autodump("sigusr1")
 
     try:
-        signal.signal(signal.SIGUSR1, _handler)
+        previous = signal.signal(signal.SIGUSR1, _handler)
     except ValueError:  # not the main thread
-        return False
-    return True
+        return None
+    # a handler installed outside Python reads back as None
+    return signal.SIG_DFL if previous is None else previous
 
 
 def load_postmortem(path: str) -> dict:

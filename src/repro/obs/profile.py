@@ -178,8 +178,8 @@ def _estimate_flops(op: str, out_data, parents: tuple) -> float:
 class Profiler:
     """Passive per-op / per-layer / per-phase profiler.
 
-    One profiler is attached per process via :func:`repro.obs.configure`
-    (``profiler=True``); worker processes get a fresh one through
+    A :class:`~repro.obs.Session` owns one (``Session(profiler=True)``);
+    worker processes get a fresh one through
     :class:`~repro.obs.WorkerObsConfig` and their snapshots merge back
     into the driver's, so a parallel campaign's profile covers the whole
     fleet.
@@ -479,18 +479,13 @@ class Profiler:
 
 
 # ---------------------------------------------------------------------- #
-# the process-global hot-path hook
+# the hot-path mirror
 # ---------------------------------------------------------------------- #
 
-#: the profiler consulted by the tensor-engine hot path; ``None`` = off.
-#: Owned by :func:`repro.obs.configure` — do not set directly.
+#: the current session's profiler, read by the tensor-engine hot path
+#: without a call; ``None`` = off. Written only when a
+#: :class:`~repro.obs.Session` is installed — do not set directly.
 ACTIVE: Profiler | None = None
-
-
-def _set_active(profiler: Profiler | None) -> None:
-    """Install the hot-path profiler (called by ``repro.obs.configure``)."""
-    global ACTIVE
-    ACTIVE = profiler
 
 
 # ---------------------------------------------------------------------- #

@@ -11,8 +11,9 @@ Events flow to a :class:`ProgressSink`:
 * :class:`JsonlSink` — one JSON object per line, machine-tailable
   (``tail -f campaign.progress.jsonl | jq``);
 * :class:`StderrSink` — human-readable one-line-per-event stream
-  (the CLI's ``--progress`` flag);
-* :class:`TeeSink` — fan out to several sinks at once.
+  (the CLI's ``--progress`` flag).
+
+A :class:`~repro.obs.Session` fans each event out to all of its sinks.
 
 Publishing is fire-and-forget and never raises into the campaign: a sink
 that fails is logged and the campaign continues — observability must not
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.utils.logging import get_logger
 from repro.utils.persist import sanitize_nonfinite
 
-__all__ = ["ProgressEvent", "ProgressSink", "MemorySink", "JsonlSink", "StderrSink", "TeeSink"]
+__all__ = ["ProgressEvent", "ProgressSink", "MemorySink", "JsonlSink", "StderrSink"]
 
 _LOGGER = get_logger("obs.progress")
 
@@ -141,18 +142,3 @@ class StderrSink(ProgressSink):
         stream = self._stream if self._stream is not None else sys.stderr
         stream.write(event.render() + "\n")
         stream.flush()
-
-
-class TeeSink(ProgressSink):
-    """Fan one event stream out to several sinks."""
-
-    def __init__(self, *sinks: ProgressSink) -> None:
-        self.sinks = list(sinks)
-
-    def emit(self, event: ProgressEvent) -> None:
-        for sink in self.sinks:
-            sink.publish(event)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

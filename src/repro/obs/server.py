@@ -5,11 +5,11 @@ just autopsied from artifacts afterwards. :class:`StatusServer` runs a
 :class:`http.server.ThreadingHTTPServer` on a background daemon thread
 and exposes read-only endpoints:
 
-* ``/metrics`` — the attached :class:`~repro.obs.MetricsRegistry`
+* ``/metrics`` — the session's :class:`~repro.obs.MetricsRegistry`
   snapshot rendered in the OpenMetrics text format
   (:mod:`repro.obs.openmetrics`), scrapeable by Prometheus — plus the
-  per-stratum posterior families when an
-  :class:`~repro.obs.estimator.EstimatorTracker` is attached;
+  per-stratum posterior families of the tracker's
+  :class:`~repro.obs.estimator.EstimatorTracker`;
 * ``/status`` — one JSON document with executor progress, per-worker
   heartbeat ages, retry/chaos/journal accounting, and an ETA derived
   from the windowed task-completion rate;
@@ -22,8 +22,8 @@ and exposes read-only endpoints:
 * ``/healthz`` — liveness probe.
 
 The server never *drives* anything: :class:`StatusTracker` and
-:class:`SseSink` are ordinary progress sinks tee'd into the existing
-stream (:class:`~repro.obs.progress.TeeSink`), all endpoint handlers
+:class:`SseSink` are ordinary progress sinks of the
+:class:`~repro.obs.Session` that owns the server, all endpoint handlers
 only read snapshots, and nothing here touches an RNG stream — a campaign
 run with ``--serve`` is bit-identical to one without (enforced by parity
 tests).
@@ -43,6 +43,7 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 
+from repro.obs.estimator import EstimatorTracker, StoppingTarget
 from repro.obs.progress import ProgressEvent, ProgressSink
 from repro.obs.schema import artifact_stamp
 from repro.utils.logging import get_logger
@@ -90,12 +91,19 @@ class StatusTracker(ProgressSink):
 
     The tracker knows nothing about the executor's internals — everything
     in :meth:`status` is derived from published events, so the same
-    tracker works live (tee'd into the sink chain), against a replayed
+    tracker works live (a sink of the session), against a replayed
     ``progress.jsonl`` (``repro top``), and across journal resumes (the
     journal publishes its replayed position).
+
+    It is the one fold every reader shares: it owns the run's
+    :class:`~repro.obs.estimator.EstimatorTracker` (:attr:`estimator`,
+    armed with ``target``), feeds it every event and embeds its document
+    in :meth:`status`, so ``/status``, ``/estimates``, ``repro top`` and
+    postmortem bundles all read the same state.
     """
 
-    def __init__(self, rate_window: int = DEFAULT_RATE_WINDOW) -> None:
+    def __init__(self, rate_window: int = DEFAULT_RATE_WINDOW, target: StoppingTarget | None = None) -> None:
+        self.estimator = EstimatorTracker(target=target)
         self._lock = threading.Lock()
         self._completions: deque[float] = deque(maxlen=max(2, rate_window))
         self._started_wall: float | None = None
@@ -166,6 +174,7 @@ class StatusTracker(ProgressSink):
                 self._last_sweep = dict(payload)
             elif kind == "adaptive.progress":
                 self._last_adaptive = dict(payload)
+        self.estimator.emit(event)
 
     # -- query side ---------------------------------------------------- #
 
@@ -194,7 +203,7 @@ class StatusTracker(ProgressSink):
                 }
                 for task, beat in self._beats.items()
             }
-            return sanitize_nonfinite(
+            document = sanitize_nonfinite(
                 {
                     **artifact_stamp(),
                     "running": self._running,
@@ -222,6 +231,8 @@ class StatusTracker(ProgressSink):
                     "events_seen": self._events_seen,
                 }
             )
+        document["estimator"] = self.estimator.estimates()
+        return document
 
 
 # ---------------------------------------------------------------------- #
@@ -305,18 +316,12 @@ class StatusServer:
         Bind address; port ``0`` picks a free port (see :attr:`port`
         after :meth:`start`).
     tracker:
-        The :class:`StatusTracker` backing ``/status`` (optional — the
-        endpoint reports ``tracker: null`` without one).
-    sse:
-        The :class:`SseSink` backing ``/events`` (optional — the endpoint
-        returns 503 without one).
-    estimator:
-        The :class:`~repro.obs.estimator.EstimatorTracker` backing
-        ``/estimates`` (optional — the endpoint returns 503 without one).
-        Its per-stratum posterior families are also appended to
-        ``/metrics`` and its document embedded in ``/status``, so
-        ``repro top`` sees the same estimates from a URL and a JSONL
-        replay.
+        The :class:`StatusTracker` backing ``/status`` and ``/estimates``
+        (optional — without one ``/status`` reports ``tracker: null`` and
+        ``/estimates`` returns 503). Its estimator's per-stratum
+        posterior families are also appended to ``/metrics``. The
+        server's own :class:`SseSink` (:attr:`sse`) backs ``/events``;
+        publish events to it to stream them.
     labels:
         Labels attached to every ``/metrics`` sample (campaign id, pid).
     keepalive_s:
@@ -329,16 +334,13 @@ class StatusServer:
         host: str = "127.0.0.1",
         port: int = 0,
         tracker: StatusTracker | None = None,
-        sse: SseSink | None = None,
         labels: Mapping[str, str] | None = None,
         keepalive_s: float = 15.0,
-        estimator=None,
     ) -> None:
         self.host = host
         self.requested_port = port
         self.tracker = tracker
-        self.sse = sse
-        self.estimator = estimator
+        self.sse = SseSink()
         self.labels = dict(labels or {})
         self.keepalive_s = keepalive_s
         self._httpd: ThreadingHTTPServer | None = None
@@ -384,8 +386,7 @@ class StatusServer:
         if self._httpd is None:
             return
         self._stopping.set()
-        if self.sse is not None:
-            self.sse.close()
+        self.sse.close()
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
@@ -407,24 +408,22 @@ class StatusServer:
 
         registry = obs.metrics()
         snapshot = registry.snapshot() if registry is not None else None
-        families = self.estimator.metric_families() if self.estimator is not None else None
+        families = self.tracker.estimator.metric_families() if self.tracker is not None else None
         return render_openmetrics(snapshot, labels=self.labels or None, families=families)
 
     def estimates_payload(self) -> dict | None:
-        """The ``/estimates`` document, or ``None`` with no estimator attached."""
-        if self.estimator is None:
+        """The ``/estimates`` document, or ``None`` with no tracker attached."""
+        if self.tracker is None:
             return None
-        return {**artifact_stamp(), **self.estimator.estimates()}
+        return {**artifact_stamp(), **self.tracker.estimator.estimates()}
 
     def status_payload(self) -> dict:
         document = self.tracker.status() if self.tracker is not None else {"tracker": None}
-        if self.estimator is not None:
-            document["estimator"] = self.estimator.estimates()
         document["server"] = {
             "url": self.url,
             "uptime_s": (time.time() - self._started_wall) if self._started_wall else 0.0,
-            "sse_subscribers": self.sse.subscribers if self.sse is not None else 0,
-            "sse_dropped": self.sse.dropped if self.sse is not None else 0,
+            "sse_subscribers": self.sse.subscribers,
+            "sse_dropped": self.sse.dropped,
         }
         return document
 
@@ -492,9 +491,6 @@ def _make_handler(server: StatusServer):
                     pass
 
         def _serve_events(self) -> None:
-            if server.sse is None:
-                self._send_json({"error": "no event stream attached"}, code=503)
-                return
             client = server.sse.subscribe()
             try:
                 self.send_response(200)

@@ -313,10 +313,7 @@ def _poll_url(url: str) -> dict:
 
 
 def _replay_jsonl(path: str) -> dict:
-    from repro.obs.estimator import EstimatorTracker
-
     tracker = StatusTracker()
-    estimator = EstimatorTracker()
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             line = line.strip()
@@ -336,12 +333,7 @@ def _replay_jsonl(path: str) -> dict:
                 kind=kind, payload=record, wall_time=wall_time, pid=record.get("pid", 0) or 0
             )
             tracker.emit(event)
-            estimator.emit(event)
-    status = tracker.status()
-    if estimator.contributions:
-        # same fold the live server embeds, so both sources render identically
-        status["estimator"] = estimator.estimates()
-    return status
+    return tracker.status()
 
 
 def status_source(source: str) -> Callable[[], dict]:

@@ -21,7 +21,7 @@ tracks.
 
 The default tracer is *disabled*: ``span`` is a no-op yield and nothing
 allocates, so instrumentation sites cost almost nothing until a trace is
-requested (CLI ``--trace PATH`` or :func:`repro.obs.configure`).
+requested (CLI ``--trace PATH`` or ``repro.obs.Session(tracer=True)``).
 """
 
 from __future__ import annotations

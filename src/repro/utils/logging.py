@@ -47,7 +47,7 @@ def get_verbosity() -> int:
     """Current numeric log level of the library root logger.
 
     Executor workers spawn with default logging state; the driver ships
-    this level to them (via :func:`repro.obs.worker_config`) so worker
+    this level to them (via :meth:`repro.obs.Session.worker_config`) so worker
     processes honour ``set_verbosity`` instead of silently dropping
     everything below WARNING.
     """

@@ -1,6 +1,9 @@
 """Command-line interface."""
 
+import gc
 import os
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -424,6 +427,32 @@ class TestObservabilityFlags:
         )
         assert code == 0
         assert "[adaptive.progress]" in capsys.readouterr().err
+
+
+class TestSessionTeardown:
+    """``main`` leaves the process as it found it: no open files, same signal handler."""
+
+    def test_progress_stream_and_journal_are_closed(self, golden_checkpoint, tmp_path, capsys):
+        argv = [
+            "sweep", golden_checkpoint, "--workbench", "mlp-moons", "--points", "5",
+            "--samples", "8", "--progress", str(tmp_path / "events.jsonl"),
+            "--journal", str(tmp_path / "journal.jsonl"),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(argv) == 0
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGUSR1"), reason="platform has no SIGUSR1")
+    def test_flight_recorder_restores_the_sigusr1_handler(self, golden_checkpoint, tmp_path, capsys):
+        before = signal.getsignal(signal.SIGUSR1)
+        argv = [
+            "campaign", golden_checkpoint, "--workbench", "mlp-moons", "--p", "1e-2",
+            "--samples", "8", "--flight-recorder", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert signal.getsignal(signal.SIGUSR1) == before
 
 
 class TestStoppingMonitorFlag:

@@ -27,9 +27,8 @@ EXPONENT_LANES = tuple(range(23, 31))
 
 @pytest.fixture(autouse=True)
 def clean_obs():
-    obs.reset()
-    yield
-    obs.reset()
+    with obs.Session():
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -194,11 +193,11 @@ class TestDeltaObservability:
     def test_profiler_phases_and_cache_counters(self, trained_mlp, moons_eval):
         eval_x, eval_y = moons_eval
         profiler = Profiler()
-        obs.configure(metrics=True, profiler=profiler)
         injector = BayesianFaultInjector(
             trained_mlp, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=6
         )
-        result, _ = injector.tempered_campaign(1e-3, beta=8.0, chains=2, steps=20)
+        with obs.Session(metrics=True, profiler=profiler):
+            result, _ = injector.tempered_campaign(1e-3, beta=8.0, chains=2, steps=20)
         counters = result.metrics["counters"]
         assert counters["delta.cache.hit"] > 0
         assert counters["delta.cache.miss"] > 0  # at least the initial states

@@ -136,17 +136,13 @@ class TestGlobalInstall:
     def test_fired_events_count_into_metrics(self):
         import repro.obs as obs
 
-        obs.configure(metrics=True)
-        try:
-            plan = ChaosPlan.from_rates({"pipe.drop": 1.0}, seed=0)
-            with chaos_enabled(plan):
-                chaos_mod.should_fire("pipe.drop", key=0)
-                chaos_mod.should_fire("pipe.drop", key=1)
-            snapshot = obs.metrics().snapshot()
-            assert snapshot["counters"]["chaos.fired"] == 2
-            assert snapshot["counters"]["chaos.fired.pipe.drop"] == 2
-        finally:
-            obs.reset()
+        plan = ChaosPlan.from_rates({"pipe.drop": 1.0}, seed=0)
+        with obs.Session(metrics=True) as session, chaos_enabled(plan):
+            chaos_mod.should_fire("pipe.drop", key=0)
+            chaos_mod.should_fire("pipe.drop", key=1)
+        snapshot = session.metrics.snapshot()
+        assert snapshot["counters"]["chaos.fired"] == 2
+        assert snapshot["counters"]["chaos.fired.pipe.drop"] == 2
 
 
 class TestPersistSites:

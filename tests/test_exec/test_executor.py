@@ -293,19 +293,16 @@ class TestRetryAccounting:
             trained_mlp, eval_x, eval_y, seed=7,
             model_builder=functools.partial(_crash_once_builder, str(tmp_path / "m")),
         )
-        obs.configure(metrics=True)
-        try:
-            executor = ParallelCampaignExecutor(crashy, workers=2, max_attempts=3)
+        executor = ParallelCampaignExecutor(crashy, workers=2, max_attempts=3)
+        with obs.Session(metrics=True) as session:
             executor.run([ForwardSpec(p=1e-2, samples=16)])
-            counters = obs.metrics().snapshot()["counters"]
-            stats = executor.stats
-            assert counters["executor.retries"] == stats.retries
-            for cause, count in stats.retries_by_cause.items():
-                assert counters.get(f"executor.retries.{cause}", 0) == count
-            assert counters["executor.crashes"] == stats.crashes
-            assert counters.get("executor.failed", 0) == stats.failed == 0
-        finally:
-            obs.reset()
+        counters = session.metrics.snapshot()["counters"]
+        stats = executor.stats
+        assert counters["executor.retries"] == stats.retries
+        for cause, count in stats.retries_by_cause.items():
+            assert counters.get(f"executor.retries.{cause}", 0) == count
+        assert counters["executor.crashes"] == stats.crashes
+        assert counters.get("executor.failed", 0) == stats.failed == 0
 
 
 class TestDegradedExecution:

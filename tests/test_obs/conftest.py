@@ -1,8 +1,8 @@
 """Shared fixtures for the observability tests.
 
-Observability state is process-global, so every test runs between
-``obs.reset()`` calls (and with the library verbosity restored) to keep
-instruments from leaking across tests.
+Every test runs inside its own empty :class:`repro.obs.Session` (and
+with the library verbosity restored), so instruments a test attaches
+never leak into the next one.
 """
 
 import functools
@@ -10,7 +10,6 @@ import functools
 import pytest
 
 import repro.obs as obs
-from repro.obs import estimator as estimator_mod
 from repro.core import BayesianFaultInjector
 from repro.exec import InjectorRecipe
 from repro.faults import TargetSpec
@@ -21,11 +20,8 @@ from repro.utils.logging import get_verbosity, set_verbosity
 @pytest.fixture(autouse=True)
 def clean_obs():
     verbosity = get_verbosity()
-    obs.reset()
-    estimator_mod.uninstall()
-    yield
-    obs.reset()
-    estimator_mod.uninstall()
+    with obs.Session():
+        yield
     set_verbosity(verbosity)
 
 

@@ -21,11 +21,10 @@ import repro.obs as obs
 from repro.bits.fields import EXPONENT_BITS, MANTISSA_BITS, SIGN_BIT
 from repro.exec import ForwardSpec, ParallelCampaignExecutor
 from repro.faults import BernoulliBitFlipModel, TargetSpec
-from repro.obs import MemorySink, TeeSink
+from repro.obs import MemorySink
 from repro.obs.estimator import (
     EVENT_KIND,
     EstimatorTracker,
-    StoppingMonitor,
     StoppingTarget,
     outcome_payload,
     publish_outcome,
@@ -102,8 +101,8 @@ class TestOutcomePayload:
         outcome = make_injector().run(spec)
         sink = MemorySink()
         tracker = EstimatorTracker()
-        obs.configure(progress=TeeSink(sink, tracker))
-        publish_outcome(0, outcome, spec=spec)
+        with obs.Session(sinks=[sink, tracker]):
+            publish_outcome(0, outcome, spec=spec)
         (event,) = sink.of_kind(EVENT_KIND)
         assert event.payload["trials"] == 8
         assert tracker.contributions == 1
@@ -265,13 +264,13 @@ class TestMetricFamilies:
 class TestStoppingMonitor:
     def test_requires_an_armed_target(self):
         with pytest.raises(ValueError, match="StoppingTarget"):
-            StoppingMonitor(EstimatorTracker())
+            EstimatorTracker().report_lines()
 
     def test_report_names_crossings_and_stragglers(self):
         tracker = EstimatorTracker(target=StoppingTarget(0.12))
         tracker.emit(_event(0, trials=200, degraded=range(20), p=1e-3))
         tracker.emit(_event(1, trials=4, degraded=[0], p=1e-2))
-        lines = StoppingMonitor(tracker).report_lines()
+        lines = tracker.report_lines()
         assert "target halfwidth 0.12" in lines[0]
         assert any("crossed at task 0" in line for line in lines)
         assert any("not yet converged" in line for line in lines)
@@ -280,31 +279,31 @@ class TestStoppingMonitor:
     def test_summary_carries_campaign_stamp(self):
         tracker = EstimatorTracker(target=StoppingTarget(0.12))
         tracker.emit(_event(3, trials=200, degraded=range(20)))
-        summary = StoppingMonitor(tracker).summary()
-        assert summary["campaign_crossed_at"] == 3
-        assert summary["strata"][0]["crossed_at"] == 3
+        lines = tracker.report_lines()
+        assert lines[1].endswith("(crossed at task 3)")
+        assert lines[-1].endswith("; campaign crossed at task 3")
 
 
 class TestInstalledTracker:
-    def test_install_active_uninstall(self):
-        from repro.obs import estimator as estimator_mod
+    def test_status_fold_owns_the_tracker(self):
+        from repro.obs.server import StatusTracker
 
-        assert estimator_mod.active() is None
-        tracker = estimator_mod.install()
-        assert estimator_mod.active() is tracker
-        estimator_mod.uninstall()
-        assert estimator_mod.active() is None
+        status = StatusTracker(target=StoppingTarget(0.1))
+        status.emit(_event(0, trials=10, degraded=[2]))
+        assert status.estimator.target == StoppingTarget(0.1)
+        assert status.estimator.contributions == 1
+        assert status.status()["estimator"] == status.estimator.estimates()
 
     def test_flight_bundle_embeds_estimator_state(self):
-        from repro.obs import estimator as estimator_mod
         from repro.obs.flight import FlightRecorder
+        from repro.obs.server import StatusTracker
 
-        tracker = estimator_mod.install()
-        tracker.emit(_event(0, trials=10, degraded=[2]))
-        bundle = FlightRecorder().bundle("test")
+        status = StatusTracker()
+        with obs.Session(status=status):
+            obs.publish(EVENT_KIND, **_event(0, trials=10, degraded=[2]).payload)
+            bundle = FlightRecorder().bundle("test")
         assert bundle["estimator"]["tasks"] == 1
         assert bundle["estimator"]["strata"][0]["trials"] == 10
-        estimator_mod.uninstall()
         assert FlightRecorder().bundle("test")["estimator"] is None
 
 
@@ -313,8 +312,8 @@ class TestPassivityAndParity:
         spec = ForwardSpec(p=1e-2, samples=24)
         bare = make_injector().run(spec)
         tracker = EstimatorTracker(target=StoppingTarget(0.05))
-        obs.configure(progress=tracker)
-        observed = make_injector().run(spec)
+        with obs.Session(sinks=[tracker]):
+            observed = make_injector().run(spec)
         assert np.array_equal(bare.chains.matrix(), observed.chains.matrix())
         assert np.array_equal(bare.posterior.samples, observed.posterior.samples)
 
@@ -322,10 +321,9 @@ class TestPassivityAndParity:
         specs = [ForwardSpec(p=p, samples=16) for p in np.logspace(-4, -1, 4)]
 
         def run(workers):
-            obs.reset()
             tracker = EstimatorTracker(target=StoppingTarget(0.2))
-            obs.configure(progress=tracker)
-            results = ParallelCampaignExecutor(recipe, workers=workers).run(list(specs))
+            with obs.Session(sinks=[tracker]):
+                results = ParallelCampaignExecutor(recipe, workers=workers).run(list(specs))
             return results, tracker.estimates()
 
         seq_results, seq_doc = run(1)
@@ -342,12 +340,9 @@ class TestPassivityAndParity:
         path = str(tmp_path / "journal.jsonl")
 
         def run():
-            obs.reset()
             tracker = EstimatorTracker(target=StoppingTarget(0.2))
-            obs.configure(progress=tracker)
-            journal = CampaignJournal(path)
-            ParallelCampaignExecutor(recipe, workers=1, journal=journal).run(list(specs))
-            journal.close()
+            with obs.Session(sinks=[tracker]), CampaignJournal(path) as journal:
+                ParallelCampaignExecutor(recipe, workers=1, journal=journal).run(list(specs))
             return tracker.estimates()
 
         fresh = run()

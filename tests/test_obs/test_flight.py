@@ -26,22 +26,19 @@ from repro.obs.progress import ProgressEvent
 from repro.utils.persist import atomic_write_json
 
 
-@pytest.fixture(autouse=True)
-def no_leaked_recorder():
-    flight.uninstall()
-    yield
-    flight.uninstall()
-
-
 def _always_crash_builder():
     os._exit(5)
+
+
+def _record(recorder, kind: str, **payload) -> None:
+    recorder.publish(ProgressEvent(kind=kind, payload=payload))
 
 
 class TestRing:
     def test_ring_is_bounded_and_counts_drops(self):
         recorder = flight.FlightRecorder(capacity=3)
         for index in range(5):
-            recorder.record("tick", index=index)
+            _record(recorder, "tick", index=index)
         events = recorder.events()
         assert [e["index"] for e in events] == [2, 3, 4]  # oldest fell off
         assert recorder.recorded == 5
@@ -53,27 +50,35 @@ class TestRing:
 
     def test_record_event_keeps_the_envelope(self):
         recorder = flight.FlightRecorder()
-        recorder.record_event(ProgressEvent(kind="chaos.fired", payload={"site": "pipe.drop"}))
+        recorder.emit(ProgressEvent(kind="chaos.fired", payload={"site": "pipe.drop"}))
         (event,) = recorder.events()
         assert event["kind"] == "chaos.fired"
         assert event["site"] == "pipe.drop"
         assert event["pid"] == os.getpid()
 
     def test_installed_recorder_captures_published_events(self):
-        recorder = flight.install(flight.FlightRecorder())
-        obs.publish("executor.retry", task=1, cause="crash")
-        assert recorder.events()[0]["kind"] == "executor.retry"
+        recorder = flight.FlightRecorder()
+        with obs.Session(recorder=recorder):
+            obs.publish("executor.retry", task=1, cause="crash")
+        obs.publish("after.exit")  # the recorder left with its session
+        assert [event["kind"] for event in recorder.events()] == ["executor.retry"]
 
-    def test_module_hook_is_a_noop_when_uninstalled(self):
-        flight.record("tick")  # must not raise
-        assert flight.autodump("whatever") is None
+    def test_recorder_alone_hears_chain_progress(self, make_injector):
+        """A recorder is a listener: chain loops publish to it without any other sink."""
+        from repro.exec import McmcSpec
+        from repro.mcmc.metropolis import PROGRESS_EVERY
+
+        recorder = flight.FlightRecorder()
+        with obs.Session(recorder=recorder):
+            make_injector().run(McmcSpec(p=1e-2, chains=2, steps=PROGRESS_EVERY))
+        assert "chain.progress" in {event["kind"] for event in recorder.events()}
 
 
 class TestBundles:
     def test_dump_roundtrips_through_load_postmortem(self, tmp_path):
         recorder = flight.FlightRecorder(capacity=8, autodump_dir=str(tmp_path))
-        recorder.record("a", n=1)
-        recorder.record("b", n=2)
+        _record(recorder, "a", n=1)
+        _record(recorder, "b", n=2)
         path = recorder.dump(reason="unit.test", stats={"tasks": 4, "failed": 1})
         assert recorder.dumps == [path]
 
@@ -86,10 +91,10 @@ class TestBundles:
         assert bundle["environment"]["python"]
 
     def test_bundle_includes_metrics_snapshot(self, tmp_path):
-        obs.configure(metrics=True)
-        obs.metrics().inc("evaluations", 7)
         recorder = flight.FlightRecorder(autodump_dir=str(tmp_path))
-        bundle = flight.load_postmortem(recorder.dump(reason="with.metrics"))
+        with obs.Session(metrics=True, recorder=recorder):
+            obs.metrics().inc("evaluations", 7)
+            bundle = flight.load_postmortem(recorder.dump(reason="with.metrics"))
         assert bundle["metrics"]["counters"]["evaluations"] == 7
 
     def test_dump_without_dir_or_path_raises(self):
@@ -122,7 +127,7 @@ class TestBundles:
 
     def test_bundle_is_json_safe(self, tmp_path):
         recorder = flight.FlightRecorder(autodump_dir=str(tmp_path))
-        recorder.record("nan.carrier", value=float("nan"))
+        _record(recorder, "nan.carrier", value=float("nan"))
         bundle = recorder.bundle("sanitise")
         json.dumps(bundle, allow_nan=False)  # must not raise
         assert bundle["events"][0]["value"] is None
@@ -139,29 +144,31 @@ class TestExecutorHooks:
             seed=7,
             model_builder=_always_crash_builder,
         )
-        recorder = flight.install(flight.FlightRecorder(autodump_dir=str(tmp_path)))
+        recorder = flight.FlightRecorder(autodump_dir=str(tmp_path))
 
-        degraded = ParallelCampaignExecutor(
-            poison, workers=2, max_attempts=1, on_failure="degrade", backoff_s=0.001
-        )
-        (result,) = degraded.run([ForwardSpec(p=1e-2, samples=8)])
-        assert result is None and degraded.stats.failed == 1
-        assert len(recorder.dumps) == 1
-        bundle = flight.load_postmortem(recorder.dumps[0])
-        assert bundle["reason"] == "executor.degraded"
-        assert bundle["executor"]["failed"] == 1
+        with obs.Session(recorder=recorder):
+            degraded = ParallelCampaignExecutor(
+                poison, workers=2, max_attempts=1, on_failure="degrade", backoff_s=0.001
+            )
+            (result,) = degraded.run([ForwardSpec(p=1e-2, samples=8)])
+            assert result is None and degraded.stats.failed == 1
+            assert len(recorder.dumps) == 1
+            bundle = flight.load_postmortem(recorder.dumps[0])
+            assert bundle["reason"] == "executor.degraded"
+            assert bundle["executor"]["failed"] == 1
 
-        aborting = ParallelCampaignExecutor(
-            poison, workers=2, max_attempts=1, on_failure="abort", backoff_s=0.001
-        )
-        with pytest.raises(CampaignExecutionError):
-            aborting.run([ForwardSpec(p=1e-2, samples=8)])
+            aborting = ParallelCampaignExecutor(
+                poison, workers=2, max_attempts=1, on_failure="abort", backoff_s=0.001
+            )
+            with pytest.raises(CampaignExecutionError):
+                aborting.run([ForwardSpec(p=1e-2, samples=8)])
         assert len(recorder.dumps) == 2
         assert flight.load_postmortem(recorder.dumps[1])["reason"] == "executor.abort"
 
     def test_clean_run_dumps_nothing(self, recipe, tmp_path):
-        recorder = flight.install(flight.FlightRecorder(autodump_dir=str(tmp_path)))
-        ParallelCampaignExecutor(recipe, workers=1).run([ForwardSpec(p=1e-3, samples=8)])
+        recorder = flight.FlightRecorder(autodump_dir=str(tmp_path))
+        with obs.Session(recorder=recorder):
+            ParallelCampaignExecutor(recipe, workers=1).run([ForwardSpec(p=1e-3, samples=8)])
         assert recorder.dumps == []
         assert not any(name.startswith("postmortem-") for name in os.listdir(tmp_path))
 
@@ -172,8 +179,8 @@ class TestSignalDump:
         recorder = flight.FlightRecorder(autodump_dir=str(tmp_path))
         previous = signal.getsignal(signal.SIGUSR1)
         try:
-            assert flight.enable_signal_dump(recorder) is True
-            recorder.record("pre.signal", n=1)
+            assert flight.enable_signal_dump(recorder) == previous
+            _record(recorder, "pre.signal", n=1)
             os.kill(os.getpid(), signal.SIGUSR1)
             assert len(recorder.dumps) == 1
             bundle = flight.load_postmortem(recorder.dumps[0])
@@ -181,3 +188,12 @@ class TestSignalDump:
             assert bundle["events"][0]["kind"] == "pre.signal"
         finally:
             signal.signal(signal.SIGUSR1, previous)
+
+    def test_session_restores_the_previous_handler(self, tmp_path):
+        recorder = flight.FlightRecorder(autodump_dir=str(tmp_path))
+        previous = signal.getsignal(signal.SIGUSR1)
+        with obs.Session(recorder=recorder, signal_dump=True):
+            assert signal.getsignal(signal.SIGUSR1) != previous
+            os.kill(os.getpid(), signal.SIGUSR1)
+        assert signal.getsignal(signal.SIGUSR1) == previous
+        assert len(recorder.dumps) == 1

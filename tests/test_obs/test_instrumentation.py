@@ -51,7 +51,7 @@ class TestCampaignDigest:
         assert "campaign.duration_s" in result.metrics["histograms"]
 
     def test_detailed_counters_satisfy_flip_invariants(self, make_injector):
-        obs.configure(metrics=True)
+        obs.configure(metrics=True)  # the thin setter on the current session
         result = make_injector().run(ForwardSpec(p=1e-2, samples=24))
         counters = result.metrics["counters"]
         # every recorded step is one forward pass of one sampled configuration
@@ -74,15 +74,15 @@ class TestCampaignDigest:
     def test_instrumented_campaign_is_bit_identical(self, make_injector):
         spec = ForwardSpec(p=1e-2, samples=24)
         bare = make_injector().run(spec)
-        obs.configure(metrics=True, tracer=True, progress=MemorySink())
-        instrumented = make_injector().run(spec)
+        with obs.Session(metrics=True, tracer=True, sinks=[MemorySink()]):
+            instrumented = make_injector().run(spec)
         assert np.array_equal(bare.chains.matrix(), instrumented.chains.matrix())
         assert np.array_equal(bare.posterior.samples, instrumented.posterior.samples)
 
     def test_campaign_spans_recorded(self, make_injector):
-        obs.configure(tracer=True)
-        make_injector().run(ForwardSpec(p=1e-2, samples=16))
-        names = {event["name"] for event in obs.tracer().events}
+        with obs.Session(tracer=True) as session:
+            make_injector().run(ForwardSpec(p=1e-2, samples=16))
+        names = {event["name"] for event in session.tracer.events}
         assert "campaign.forward" in names
         assert "chain.forward" in names
 
@@ -103,8 +103,8 @@ class TestEvaluationRate:
 class TestLiveProgress:
     def test_adaptive_campaign_streams_mixing_diagnostics(self, make_injector):
         sink = MemorySink()
-        obs.configure(progress=sink)
-        make_injector().run_until_complete(p=1e-2, chains=2, batch_steps=10, max_steps=20)
+        with obs.Session(sinks=[sink]):
+            make_injector().run_until_complete(p=1e-2, chains=2, batch_steps=10, max_steps=20)
         events = sink.of_kind("adaptive.progress")
         assert events  # one per batch assessment
         payload = events[-1].payload
@@ -114,8 +114,8 @@ class TestLiveProgress:
 
     def test_forward_chains_checkpoint_every_50_steps(self, make_injector):
         sink = MemorySink()
-        obs.configure(progress=sink)
-        make_injector().run(ForwardSpec(p=1e-2, samples=200, chains=2))  # 100 steps/chain
+        with obs.Session(sinks=[sink]):
+            make_injector().run(ForwardSpec(p=1e-2, samples=200, chains=2))  # 100 steps/chain
         events = sink.of_kind("chain.progress")
         assert len(events) == 4  # 2 chains x steps {50, 100}
         assert {e.payload["sampler"] for e in events} == {"forward"}
@@ -126,11 +126,9 @@ class TestExecutorParity:
         specs = [ForwardSpec(p=p, samples=16) for p in P_GRID_4]
 
         def run(workers):
-            obs.reset()
-            obs.configure(metrics=True)
-            executor = ParallelCampaignExecutor(recipe, workers=workers)
-            results = executor.run(list(specs))
-            return results, obs.metrics().counters()
+            with obs.Session(metrics=True) as session:
+                results = ParallelCampaignExecutor(recipe, workers=workers).run(list(specs))
+            return results, session.metrics.counters()
 
         sequential_results, sequential_counters = run(1)
         parallel_results, parallel_counters = run(4)
@@ -143,24 +141,24 @@ class TestExecutorParity:
             assert np.array_equal(seq.chains.matrix(), par.chains.matrix())
 
     def test_worker_trace_events_merge_into_driver(self, recipe):
-        obs.configure(tracer=True)
-        executor = ParallelCampaignExecutor(recipe, workers=2)
-        executor.run([ForwardSpec(p=p, samples=8) for p in P_GRID_4[:2]])
+        with obs.Session(tracer=True) as session:
+            executor = ParallelCampaignExecutor(recipe, workers=2)
+            executor.run([ForwardSpec(p=p, samples=8) for p in P_GRID_4[:2]])
         workers = {
             event["pid"]
-            for event in obs.tracer().events
+            for event in session.tracer.events
             if event["name"] == "worker.task"
         }
         assert workers and os.getpid() not in workers  # honest per-process tags
-        names = {event["name"] for event in obs.tracer().events}
+        names = {event["name"] for event in session.tracer.events}
         assert "campaign.forward" in names  # worker-side campaign spans shipped home
 
     def test_executor_publishes_lifecycle_events(self, recipe):
         sink = MemorySink()
-        obs.configure(progress=sink)
-        ParallelCampaignExecutor(recipe, workers=2).run(
-            [ForwardSpec(p=p, samples=8) for p in P_GRID_4[:2]]
-        )
+        with obs.Session(sinks=[sink]):
+            ParallelCampaignExecutor(recipe, workers=2).run(
+                [ForwardSpec(p=p, samples=8) for p in P_GRID_4[:2]]
+            )
         assert len(sink.of_kind("executor.task_done")) == 2
         (done,) = sink.of_kind("executor.complete")
         assert done.payload["tasks"] == 2 and done.payload["parallel"] is True
@@ -178,9 +176,9 @@ class TestHeartbeats:
             model_builder=functools.partial(_sleepy_builder, 0.6),
         )
         sink = MemorySink()
-        obs.configure(progress=sink)
         executor = ParallelCampaignExecutor(sleepy, workers=2, heartbeat_s=0.1)
-        (result,) = executor.run([ForwardSpec(p=1e-2, samples=8)])
+        with obs.Session(sinks=[sink]):
+            (result,) = executor.run([ForwardSpec(p=1e-2, samples=8)])
         assert result.mean_error >= 0.0  # the slow task still completed
         beats = sink.of_kind("executor.heartbeat")
         assert beats and executor.stats.heartbeats == len(beats)
@@ -195,25 +193,28 @@ class TestHeartbeats:
 class TestWorkerPropagation:
     def test_config_captures_driver_state(self):
         set_verbosity(logging.DEBUG)
-        obs.configure(metrics=True, tracer=True)
-        config = obs.worker_config()
+        config = obs.Session(metrics=True, tracer=True).worker_config()
         assert config.verbosity == logging.DEBUG
         assert config.trace and config.detailed_metrics
 
     def test_apply_installs_fresh_instruments(self):
         set_verbosity(logging.WARNING)
-        obs.apply_worker_config(
-            obs.WorkerObsConfig(verbosity=logging.DEBUG, trace=True, detailed_metrics=True)
-        )
-        assert get_verbosity() == logging.DEBUG
-        assert obs.metrics() is not None
-        assert obs.tracer().enabled and len(obs.tracer()) == 0  # nothing inherited
-        assert obs.progress() is None  # sinks never cross the process boundary
+        config = obs.WorkerObsConfig(verbosity=logging.DEBUG, trace=True, detailed_metrics=True)
+        with obs.Session(tracer=True, sinks=[MemorySink()]):
+            with obs.span("parent.only"):
+                pass
+            with config.session():
+                assert get_verbosity() == logging.DEBUG
+                assert obs.metrics() is not None
+                assert obs.tracer().enabled and len(obs.tracer()) == 0  # nothing inherited
+                assert not obs.listening()  # sinks never cross the process boundary
+            assert obs.listening()  # the enclosing session is back
+        assert get_verbosity() == logging.WARNING
 
     def test_default_config_disables_everything(self):
-        obs.configure(metrics=True, tracer=True, progress=MemorySink())
-        obs.apply_worker_config(obs.WorkerObsConfig())
-        assert obs.metrics() is None and not obs.tracer().enabled
+        with obs.Session(metrics=True, tracer=True, sinks=[MemorySink()]):
+            with obs.WorkerObsConfig().session():
+                assert obs.metrics() is None and not obs.tracer().enabled
 
 
 class TestJournalDigests:
@@ -221,19 +222,14 @@ class TestJournalDigests:
         specs = [ForwardSpec(p=p, samples=16) for p in P_GRID_4[:2]]
         path = str(tmp_path / "journal.jsonl")
 
-        obs.configure(metrics=True)
-        journal = CampaignJournal(path)
-        ParallelCampaignExecutor(recipe, workers=1, journal=journal).run(list(specs))
-        journal.close()
-        first = obs.metrics().counters()
+        with obs.Session(metrics=True) as session, CampaignJournal(path) as journal:
+            ParallelCampaignExecutor(recipe, workers=1, journal=journal).run(list(specs))
+        first = session.metrics.counters()
 
-        obs.reset()
-        obs.configure(metrics=True)
-        journal = CampaignJournal(path)
-        executor = ParallelCampaignExecutor(recipe, workers=1, journal=journal)
-        executor.run(list(specs))
-        journal.close()
-        second = obs.metrics().counters()
+        with obs.Session(metrics=True) as session, CampaignJournal(path) as journal:
+            executor = ParallelCampaignExecutor(recipe, workers=1, journal=journal)
+            executor.run(list(specs))
+        second = session.metrics.counters()
 
         assert executor.stats.journal_hits == len(specs)
         # campaign-level totals are identical whether the work ran or was

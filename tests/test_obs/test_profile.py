@@ -17,6 +17,14 @@ from repro.nn import paper_mlp
 from repro.tensor import Tensor
 
 
+
+@pytest.fixture()
+def profiler():
+    """A profiler attached to the current session (and the tensor hot path)."""
+    profiler = Profiler()
+    with obs.Session(profiler=profiler):
+        yield profiler
+
 class TestClock:
     def test_clock_is_monotonic_nondecreasing(self):
         a = clock_s()
@@ -61,9 +69,7 @@ class TestClock:
 
 
 class TestOpRecording:
-    def test_ops_counted_with_flops_and_bytes(self):
-        profiler = Profiler()
-        obs.configure(profiler=profiler)
+    def test_ops_counted_with_flops_and_bytes(self, profiler):
         a = Tensor(np.ones((4, 8), dtype=np.float32))
         b = Tensor(np.ones((8, 3), dtype=np.float32))
         out = a @ b
@@ -78,11 +84,9 @@ class TestOpRecording:
         profiler.record_tensor_op("conv2d", out, (), flops=123.0)
         assert profiler.ops["conv2d"].flops == 123.0
 
-    def test_conv2d_exact_flops(self):
+    def test_conv2d_exact_flops(self, profiler):
         from repro.tensor import conv2d, no_grad
 
-        profiler = Profiler()
-        obs.configure(profiler=profiler)
         x = Tensor(np.ones((1, 3, 5, 5), dtype=np.float32))
         w = Tensor(np.ones((4, 3, 3, 3), dtype=np.float32))
         with no_grad():
@@ -108,9 +112,7 @@ class TestOpRecording:
 
 
 class TestLayerTiming:
-    def test_profile_module_records_layer_hierarchy(self):
-        profiler = Profiler()
-        obs.configure(profiler=profiler)
+    def test_profile_module_records_layer_hierarchy(self, profiler):
         model = paper_mlp(rng=0).eval()
         x = Tensor(np.zeros((5, 2), dtype=np.float32))
         with profile_module(model, profiler):
@@ -123,9 +125,7 @@ class TestLayerTiming:
         # container cumulative time includes its children
         assert outer.forward_cum_s >= profiler.layers["layers.0"].forward_cum_s
 
-    def test_hooks_removed_after_context(self):
-        profiler = Profiler()
-        obs.configure(profiler=profiler)
+    def test_hooks_removed_after_context(self, profiler):
         model = paper_mlp(rng=0).eval()
         x = Tensor(np.zeros((3, 2), dtype=np.float32))
         with profile_module(model, profiler):
@@ -145,9 +145,7 @@ class TestLayerTiming:
         assert all(not m._forward_hooks and not m._forward_pre_hooks
                    for _, m in model.named_modules())
 
-    def test_backward_billed_to_live_layer(self):
-        profiler = Profiler()
-        obs.configure(profiler=profiler)
+    def test_backward_billed_to_live_layer(self, profiler):
         model = paper_mlp(rng=0)
         model.train()
         x = Tensor(np.random.default_rng(0).normal(size=(6, 2)).astype(np.float32))
@@ -286,21 +284,18 @@ class TestReporting:
 
 
 class TestWorkerPropagation:
-    def test_worker_config_carries_profile_flag(self):
-        assert obs.worker_config().profile is False
-        obs.configure(profiler=True)
-        config = obs.worker_config()
+    def test_worker_config_carries_profile_flag(self, profiler):
+        assert obs.Session().worker_config().profile is False
+        config = obs.current().worker_config()
         assert config.profile is True
-        obs.apply_worker_config(config)
-        assert obs.profiler() is not None
+        with config.session():
+            assert obs.profiler() is not None and obs.profiler() is not profiler
 
-    def test_drain_worker_report_ships_profile(self):
-        obs.configure(profiler=True)
+    def test_drain_worker_report_ships_profile(self, profiler):
         out = np.zeros(2, dtype=np.float32)
-        obs.profiler().record_tensor_op("add", out, ())
-        report = obs.drain_worker_report()
+        profiler.record_tensor_op("add", out, ())
+        report = obs.current().worker_report()
         assert report["profile"]["ops"]["add"]["calls"] == 1
 
-    def test_drain_omits_empty_profile(self):
-        obs.configure(profiler=True)
-        assert "profile" not in obs.drain_worker_report()
+    def test_drain_omits_empty_profile(self, profiler):
+        assert "profile" not in obs.current().worker_report()

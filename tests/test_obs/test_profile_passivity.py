@@ -23,17 +23,17 @@ class TestSequentialPassivity:
     def test_forward_campaign_bit_identical_under_profiling(self, make_injector):
         spec = ForwardSpec(p=1e-3, samples=30, chains=2)
         bare = make_injector().run(spec)
-        obs.configure(profiler=True)
-        profiled = make_injector().run(spec)
-        assert obs.profiler().ops  # profiling actually happened
+        with obs.Session(profiler=True) as session:
+            profiled = make_injector().run(spec)
+        assert session.profiler.ops  # profiling actually happened
         assert _comparable(bare) == _comparable(profiled)
         assert np.array_equal(bare.chains.matrix(), profiled.chains.matrix())
 
     def test_mcmc_campaign_bit_identical_under_profiling(self, make_injector):
         spec = McmcSpec(p=5e-3, chains=2, steps=25)
         bare = make_injector().run(spec)
-        obs.configure(profiler=True)
-        profiled = make_injector().run(spec)
+        with obs.Session(profiler=True):
+            profiled = make_injector().run(spec)
         assert _comparable(bare) == _comparable(profiled)
         assert np.array_equal(bare.chains.matrix(), profiled.chains.matrix())
 
@@ -42,17 +42,17 @@ class TestParallelPassivity:
     def test_parallel_execution_bit_identical_under_profiling(self, recipe):
         specs = [ForwardSpec(p=p, samples=20, chains=2) for p in (1e-4, 1e-3, 1e-2)]
         bare = ParallelCampaignExecutor(recipe, workers=2).run(specs)
-        obs.configure(profiler=True)
-        profiled = ParallelCampaignExecutor(recipe, workers=2).run(specs)
+        with obs.Session(profiler=True):
+            profiled = ParallelCampaignExecutor(recipe, workers=2).run(specs)
         for before, after in zip(bare, profiled):
             assert _comparable(before) == _comparable(after)
             assert np.array_equal(before.chains.matrix(), after.chains.matrix())
 
     def test_worker_profiles_merge_into_driver(self, recipe):
-        obs.configure(profiler=True)
         executor = ParallelCampaignExecutor(recipe, workers=2)
-        executor.run([ForwardSpec(p=1e-3, samples=15, chains=1)])
-        profiler = obs.profiler()
+        with obs.Session(profiler=True) as session:
+            executor.run([ForwardSpec(p=1e-3, samples=15, chains=1)])
+        profiler = session.profiler
         # worker-side op and phase samples arrived over the result pipe
         assert profiler.ops, "expected merged worker op counters"
         assert any(path.startswith("campaign.forward") for path in profiler.phases)

@@ -4,7 +4,7 @@ import io
 import json
 
 import repro.obs as obs
-from repro.obs import JsonlSink, MemorySink, ProgressEvent, ProgressSink, StderrSink, TeeSink
+from repro.obs import JsonlSink, MemorySink, ProgressEvent, ProgressSink, StderrSink
 
 
 class TestProgressEvent:
@@ -68,12 +68,11 @@ class TestSinks:
         StderrSink(stream=stream).publish(ProgressEvent(kind="x", payload={"n": 1}))
         assert stream.getvalue() == "[x] n=1\n"
 
-    def test_tee_fans_out_and_closes_children(self, tmp_path):
+    def test_session_fans_out_and_closes_its_sinks(self, tmp_path):
         memory = MemorySink()
         jsonl = JsonlSink(str(tmp_path / "e.jsonl"))
-        tee = TeeSink(memory, jsonl)
-        tee.publish(ProgressEvent(kind="x"))
-        tee.close()
+        with obs.Session(sinks=[memory, jsonl]):
+            obs.publish("x")
         assert len(memory.events) == 1
         assert jsonl._handle.closed
 
@@ -83,6 +82,10 @@ class TestSinks:
                 raise OSError("disk gone")
 
         Doomed().publish(ProgressEvent(kind="x"))  # must not raise
+        memory = MemorySink()
+        with obs.Session(sinks=[Doomed(), memory]):
+            obs.publish("x")  # the failure stays with its sink
+        assert len(memory.events) == 1
 
 
 class TestPublish:
@@ -91,14 +94,16 @@ class TestPublish:
 
     def test_publish_reaches_the_attached_sink(self):
         sink = MemorySink()
-        obs.configure(progress=sink)
-        obs.publish("executor.heartbeat", task=0, elapsed_s=1.5)
+        with obs.Session(sinks=[sink]):
+            assert obs.listening()
+            obs.publish("executor.heartbeat", task=0, elapsed_s=1.5)
+        assert not obs.listening()
         (event,) = sink.events
         assert event.kind == "executor.heartbeat"
         assert event.payload == {"task": 0, "elapsed_s": 1.5}
 
     def test_publish_accepts_kind_as_payload_key(self):
         sink = MemorySink()
-        obs.configure(progress=sink)
-        obs.publish("executor.task_done", kind="forward")  # positional-only `kind`
+        with obs.Session(sinks=[sink]):
+            obs.publish("executor.task_done", kind="forward")  # positional-only `kind`
         assert sink.events[0].to_dict()["kind"] == "executor.task_done"

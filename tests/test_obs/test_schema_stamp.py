@@ -41,10 +41,10 @@ class TestStamp:
 
 class TestEmitters:
     def test_trace_export_carries_the_stamp(self):
-        obs.configure(tracer=True)
-        with obs.tracer().span("unit.span"):
-            pass
-        document = obs.tracer().export()
+        with obs.Session(tracer=True) as session:
+            with obs.span("unit.span"):
+                pass
+        document = session.tracer.export()
         assert document["otherData"]["schema_version"] == SCHEMA_VERSION
         assert document["otherData"]["repro_version"] == repro.__version__
 

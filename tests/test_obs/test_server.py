@@ -25,7 +25,7 @@ import pytest
 import repro.obs as obs
 from repro.exec import CampaignJournal, ForwardSpec, ParallelCampaignExecutor
 from repro.exec import chaos as chaos_mod
-from repro.obs import MemorySink, TeeSink, flight
+from repro.obs import MemorySink, flight
 from repro.obs.openmetrics import parse_samples, validate_openmetrics
 from repro.obs.progress import ProgressEvent
 from repro.obs.server import SseSink, StatusServer, StatusTracker, parse_endpoint
@@ -135,9 +135,7 @@ class TestSseSink:
 class TestEndpoints:
     @pytest.fixture()
     def server(self):
-        tracker = StatusTracker()
-        sse = SseSink()
-        with StatusServer(port=0, tracker=tracker, sse=sse, labels={"pid": "1"}) as server:
+        with StatusServer(port=0, tracker=StatusTracker(), labels={"pid": "1"}) as server:
             yield server
 
     def test_healthz(self, server):
@@ -145,7 +143,7 @@ class TestEndpoints:
         assert status == 200 and body == "ok\n"
 
     def test_metrics_is_validator_clean_openmetrics(self, server):
-        obs.configure(metrics=True)
+        obs.configure(metrics=True)  # the thin setter on the current session
         obs.metrics().inc("evaluations", 3)
         status, content_type, body = _get(server.url + "/metrics")
         assert status == 200
@@ -171,6 +169,7 @@ class TestEndpoints:
     def test_unknown_path_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "/nope")
+        excinfo.value.close()
         assert excinfo.value.code == 404
 
     def test_index_lists_endpoints(self, server):
@@ -179,17 +178,20 @@ class TestEndpoints:
             "/metrics", "/status", "/estimates", "/events", "/healthz",
         }
 
-    def test_estimates_without_estimator_is_503(self, server):
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(server.url + "/estimates")
-        assert excinfo.value.code == 503
-        assert "no estimator" in excinfo.value.read().decode("utf-8")
+    def test_estimates_without_estimator_is_503(self):
+        with StatusServer(port=0) as bare:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(bare.url + "/estimates")
+        with excinfo.value as response:
+            assert response.code == 503
+            assert "no estimator" in response.read().decode("utf-8")
 
     def test_estimates_and_status_expose_the_tracker_document(self):
-        from repro.obs.estimator import EstimatorTracker, StoppingTarget
+        from repro.obs.estimator import StoppingTarget
 
-        estimator = EstimatorTracker(target=StoppingTarget(0.1))
-        estimator.emit(
+        tracker = StatusTracker(target=StoppingTarget(0.1))
+        estimator = tracker.estimator
+        tracker.emit(
             ProgressEvent(
                 kind="estimate",
                 payload={
@@ -198,7 +200,7 @@ class TestEndpoints:
                 },
             )
         )
-        with StatusServer(port=0, tracker=StatusTracker(), estimator=estimator) as server:
+        with StatusServer(port=0, tracker=tracker) as server:
             status, content_type, body = _get(server.url + "/estimates")
             assert status == 200 and content_type.startswith("application/json")
             document = json.loads(body)
@@ -255,10 +257,7 @@ class TestLiveCampaign:
     """Poll every endpoint concurrently during a real parallel chaos run."""
 
     def test_concurrent_polling_during_chaos_campaign(self, recipe, tmp_path):
-        tracker = StatusTracker()
-        sse = SseSink()
         sink = MemorySink()
-        obs.configure(metrics=True, progress=TeeSink(sink, tracker, sse))
         # one guaranteed pipe.drop: a chaos retry fires, the run completes
         plan = chaos_mod.ChaosPlan.from_rates(
             {"pipe.drop": chaos_mod.ChaosRule(rate=1.0, count=1)}, seed=0
@@ -302,7 +301,8 @@ class TestLiveCampaign:
             except OSError:
                 pass  # server shut down mid-read; frames so far still count
 
-        with StatusServer(port=0, tracker=tracker, sse=sse) as server:
+        with obs.Session(metrics=True, sinks=[sink], serve=("127.0.0.1", 0)) as session:
+            server = session.server
             poller = threading.Thread(target=poll, daemon=True)
             consumer = threading.Thread(target=consume_events, daemon=True)
             poller.start()
@@ -325,37 +325,28 @@ class TestLiveCampaign:
         assert final["last_complete"]["tasks"] == len(P_GRID)
         kinds = {frame["kind"] for frame in sse_frames}
         assert "executor.task_done" in kinds
-        # the tee delivered the same stream everywhere
+        # the session delivered the same stream to every sink
         assert len(sink.of_kind("executor.task_done")) == len(P_GRID)
 
     def test_full_instrumentation_is_bit_identical(self, recipe):
         specs = [ForwardSpec(p=p, samples=8) for p in P_GRID[:2]]
 
-        obs.reset()
         bare = ParallelCampaignExecutor(recipe, workers=2).run(list(specs))
 
-        from repro.obs import estimator as estimator_mod
+        from repro.obs.estimator import StoppingTarget
 
-        obs.reset()
-        tracker = StatusTracker()
-        sse = SseSink()
-        estimator = estimator_mod.install(
-            estimator_mod.EstimatorTracker(target=estimator_mod.StoppingTarget(0.1))
-        )
-        obs.configure(metrics=True, tracer=True, progress=TeeSink(tracker, sse, estimator))
-        recorder = flight.install(flight.FlightRecorder())
-        try:
-            with StatusServer(port=0, tracker=tracker, sse=sse, estimator=estimator) as server:
-                instrumented = ParallelCampaignExecutor(recipe, workers=2).run(list(specs))
-                _get(server.url + "/metrics")
-                _get(server.url + "/status")
-                _get(server.url + "/estimates")
-        finally:
-            flight.uninstall()
-            estimator_mod.uninstall()
+        tracker = StatusTracker(target=StoppingTarget(0.1))
+        recorder = flight.FlightRecorder()
+        with obs.Session(
+            metrics=True, tracer=True, status=tracker, recorder=recorder, serve=("127.0.0.1", 0)
+        ) as session:
+            instrumented = ParallelCampaignExecutor(recipe, workers=2).run(list(specs))
+            _get(session.server.url + "/metrics")
+            _get(session.server.url + "/status")
+            _get(session.server.url + "/estimates")
 
         assert recorder.recorded > 0  # the instruments really were live
-        assert estimator.contributions == len(specs)
+        assert tracker.estimator.contributions == len(specs)
         for bare_result, instrumented_result in zip(bare, instrumented):
             assert np.array_equal(
                 bare_result.chains.matrix(), instrumented_result.chains.matrix()
@@ -386,36 +377,31 @@ class TestResumeConsistency:
         )
         plan = chaos_mod.ChaosPlan.from_rates({"worker.sigkill": 0.5}, seed=seed)
         first_tracker = StatusTracker()
-        obs.configure(progress=first_tracker)
-        journal = CampaignJournal(path)
-        first = ParallelCampaignExecutor(
-            recipe,
-            workers=2,
-            journal=journal,
-            max_attempts=3,
-            backoff_s=0.001,
-            chaos=plan,
-            start_method="fork",
-        )
-        first.run(list(specs))
+        with obs.Session(status=first_tracker), CampaignJournal(path) as journal:
+            first = ParallelCampaignExecutor(
+                recipe,
+                workers=2,
+                journal=journal,
+                max_attempts=3,
+                backoff_s=0.001,
+                chaos=plan,
+                start_method="fork",
+            )
+            first.run(list(specs))
         assert first.stats.crashes >= 1  # the kill really happened
-        journal.close()
         first_status = first_tracker.status()
         assert first_status["journal"]["records"] == len(specs)
 
         # second life: a fresh process state (new tracker) resumes the
         # journal; the replay event alone restores the journal position
-        obs.reset()
         second_tracker = StatusTracker()
-        obs.configure(progress=second_tracker)
-        resumed = CampaignJournal.resume(path)
-        assert second_tracker.status()["journal"]["records"] == len(specs)
+        with obs.Session(status=second_tracker), CampaignJournal.resume(path) as resumed:
+            assert second_tracker.status()["journal"]["records"] == len(specs)
 
-        # re-running the same specs is pure journal hits: no task re-runs,
-        # and /status still reports the same position
-        executor = ParallelCampaignExecutor(recipe, workers=2, journal=resumed)
-        results = executor.run(list(specs))
-        resumed.close()
+            # re-running the same specs is pure journal hits: no task
+            # re-runs, and /status still reports the same position
+            executor = ParallelCampaignExecutor(recipe, workers=2, journal=resumed)
+            results = executor.run(list(specs))
         assert executor.stats.journal_hits == len(specs)
         assert all(result is not None for result in results)
         final = second_tracker.status()

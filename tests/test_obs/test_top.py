@@ -11,7 +11,7 @@ import json
 
 import repro.obs as obs
 from repro.obs import JsonlSink
-from repro.obs.server import SseSink, StatusServer, StatusTracker
+from repro.obs.server import StatusServer, StatusTracker
 from repro.obs.top import (
     _fmt_duration,
     _histogram_quantile,
@@ -199,14 +199,12 @@ class TestMetricsPanel:
 class TestReplay:
     def test_replay_folds_the_jsonl_into_a_status(self, tmp_path):
         path = str(tmp_path / "progress.jsonl")
-        sink = JsonlSink(path)
-        obs.configure(progress=sink)
-        obs.publish("executor.start", tasks=3, workers=2)
-        obs.publish("executor.heartbeat", task=0, pid=111, attempt=1, elapsed_s=0.5)
-        obs.publish("executor.task_done", task=1)
-        obs.publish("journal.append", key="k", records=1)
-        obs.publish("chaos.fired", site="pipe.drop")
-        sink.close()
+        with obs.Session(sinks=[JsonlSink(path)]):
+            obs.publish("executor.start", tasks=3, workers=2)
+            obs.publish("executor.heartbeat", task=0, pid=111, attempt=1, elapsed_s=0.5)
+            obs.publish("executor.task_done", task=1)
+            obs.publish("journal.append", key="k", records=1)
+            obs.publish("chaos.fired", site="pipe.drop")
 
         status = _replay_jsonl(path)
         assert status["tasks"]["total"] == 3
@@ -237,14 +235,12 @@ class TestReplay:
         from repro.obs.estimator import EstimatorTracker
 
         path = str(tmp_path / "progress.jsonl")
-        sink = JsonlSink(path)
-        obs.configure(progress=sink)
-        payload = {
-            "task": 0, "layer": "all", "bitfield": "all", "p": 1e-2,
-            "trials": 50, "degraded_trials": [3, 7],
-        }
-        obs.publish("estimate", **payload)
-        sink.close()
+        with obs.Session(sinks=[JsonlSink(path)]):
+            payload = {
+                "task": 0, "layer": "all", "bitfield": "all", "p": 1e-2,
+                "trials": 50, "degraded_trials": [3, 7],
+            }
+            obs.publish("estimate", **payload)
 
         status = _replay_jsonl(path)
         live = EstimatorTracker()
@@ -259,11 +255,9 @@ class TestReplay:
 class TestRunTop:
     def test_one_frame_from_a_jsonl_file(self, tmp_path):
         path = str(tmp_path / "progress.jsonl")
-        sink = JsonlSink(path)
-        obs.configure(progress=sink)
-        obs.publish("executor.start", tasks=2, workers=1)
-        obs.publish("executor.task_done", task=0)
-        sink.close()
+        with obs.Session(sinks=[JsonlSink(path)]):
+            obs.publish("executor.start", tasks=2, workers=1)
+            obs.publish("executor.task_done", task=0)
 
         out = io.StringIO()
         code = run_top(path, interval_s=0.01, frames=1, stream=out, clear=False)
@@ -272,7 +266,7 @@ class TestRunTop:
 
     def test_one_frame_from_a_live_server(self):
         tracker = StatusTracker()
-        server = StatusServer(port=0, tracker=tracker, sse=SseSink()).start()
+        server = StatusServer(port=0, tracker=tracker).start()
         try:
             out = io.StringIO()
             code = run_top(server.url, interval_s=0.01, frames=1, stream=out, clear=False)
