@@ -682,47 +682,6 @@ def _cmd_assess(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import run_groups, suite_names
-    from repro.bench.runner import bench_path
-
-    if args.list:
-        for name in suite_names():
-            print(name)
-        return 0
-    if args.group:
-        unknown = sorted(set(args.group) - set(suite_names()))
-        if unknown:
-            raise SystemExit(f"unknown bench group(s) {unknown}; choose from {suite_names()}")
-    if args.check and args.filter:
-        raise SystemExit("--check and --filter are mutually exclusive "
-                         "(a partial run cannot be gated against a full baseline)")
-    try:
-        _, reports = run_groups(
-            args.group or None,
-            quick=args.quick,
-            seed=args.seed,
-            cache_dir=args.artifacts,
-            out_dir=args.out_dir,
-            case_filter=args.filter,
-            check=args.check,
-            baseline_dir=args.baseline_dir,
-            tolerance=args.tolerance,
-        )
-    except FileNotFoundError as exc:
-        raise SystemExit(str(exc)) from exc
-    if args.check:
-        failures = [report for report in reports if not report.passed]
-        if failures:
-            names = ", ".join(report.group for report in failures)
-            print(f"bench gate FAILED for: {names}", file=sys.stderr)
-            return 1
-        print("bench gate passed")
-    else:
-        print(f"baselines live at {bench_path('<group>', args.out_dir)}")
-    return 0
-
-
 def _cmd_boundary(args) -> int:
     workbench = _load_workbench(args.workbench)
     if workbench.boundary_window is None:
@@ -841,46 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     assess.add_argument("--out", default=None, help="also write the markdown report here")
     _add_observability(assess)
     assess.set_defaults(handler=_cmd_assess)
-
-    bench = subparsers.add_parser(
-        "bench", help="run the reproducible benchmark suites (BENCH_*.json baselines)"
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="quick tier: smaller grids/budgets, same case names (what CI gates on)",
-    )
-    bench.add_argument(
-        "--group", action="append", default=None, metavar="NAME",
-        help="suite to run (repeatable; default: all; see --list)",
-    )
-    bench.add_argument("--list", action="store_true", help="list available suites and exit")
-    bench.add_argument(
-        "--filter", default=None, metavar="PATTERN",
-        help="fnmatch pattern over case names; filtered runs print timings "
-             "but never write records or gate",
-    )
-    bench.add_argument(
-        "--out-dir", default=".", metavar="DIR",
-        help="directory for BENCH_<group>.json records (default: current directory)",
-    )
-    bench.add_argument(
-        "--check", action="store_true",
-        help="after running, gate against committed baselines; non-zero exit on regression",
-    )
-    bench.add_argument(
-        "--baseline-dir", default=None, metavar="DIR",
-        help="where committed baselines live (default: --out-dir)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=2.0,
-        help="max allowed current/baseline median ratio for --check (default: 2.0)",
-    )
-    bench.add_argument(
-        "--artifacts", default=None, metavar="DIR",
-        help="golden-checkpoint cache directory (default: benchmarks/_artifacts)",
-    )
-    bench.add_argument("--seed", type=int, default=2019)
-    bench.set_defaults(handler=_cmd_bench)
 
     top = subparsers.add_parser(
         "top", help="live terminal dashboard for a running campaign"

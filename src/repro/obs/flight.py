@@ -41,7 +41,7 @@ import threading
 from typing import Mapping
 
 from repro.obs.progress import ProgressEvent, ProgressSink
-from repro.obs.schema import artifact_stamp, artifact_version
+from repro.obs.schema import SCHEMA_VERSION, artifact_stamp, artifact_version
 from repro.utils.logging import get_logger
 from repro.utils.persist import atomic_write_json, read_checked_json, sanitize_nonfinite
 
@@ -224,12 +224,19 @@ def load_postmortem(path: str) -> dict:
 
     Verifies the persistence checksum, checks the bundle marker, and
     normalises the version fields — a stamp-less bundle loads as
-    ``schema_version`` 0 (:mod:`repro.obs.schema`).
+    ``schema_version`` 0 (:mod:`repro.obs.schema`), and a bundle from a
+    newer schema than this library's is rejected.
     """
     record_ = read_checked_json(path)
     if record_.get("bundle") != "repro-postmortem":
         raise PostmortemError(f"{path}: not a postmortem bundle")
-    record_["schema_version"] = artifact_version(record_)
+    version = artifact_version(record_)
+    if version > SCHEMA_VERSION:
+        raise PostmortemError(
+            f"{path}: bundle schema_version {version} is newer than "
+            f"this library's {SCHEMA_VERSION}"
+        )
+    record_["schema_version"] = version
     record_.setdefault("repro_version", None)
     if not isinstance(record_.get("events"), list):
         raise PostmortemError(f"{path}: bundle has no events list")

@@ -1,10 +1,10 @@
 """Versioning for emitted observability artifacts.
 
 Every artifact the obs stack writes to disk — the metrics digest JSON,
-the Chrome-trace JSON, the progress JSONL stream, bench ``BENCH_*.json``
-records, and flight-recorder postmortem bundles — carries the same two
-fields so a future campaign *service* (ROADMAP) can negotiate formats
-with clients running older or newer library versions:
+the Chrome-trace JSON, the progress JSONL stream, and flight-recorder
+postmortem bundles — carries the same two fields so a future campaign
+*service* can negotiate formats with clients running older or newer
+library versions:
 
 * ``schema_version`` — the artifact format generation (bumped on
   breaking layout changes);
@@ -14,7 +14,9 @@ with clients running older or newer library versions:
 Loaders are **v0-tolerant**: an artifact written before these fields
 existed simply has no ``schema_version`` key, and
 :func:`artifact_version` maps that to ``0`` instead of failing — old
-files keep loading forever.
+files keep loading forever. A loader that cannot read a newer layout
+rejects an artifact stamped above :data:`SCHEMA_VERSION`
+(:func:`repro.obs.flight.load_postmortem`).
 """
 
 from __future__ import annotations

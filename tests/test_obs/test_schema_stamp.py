@@ -1,8 +1,9 @@
 """The artifact version stamp: emitted everywhere, tolerated when absent.
 
 Every obs-emitted artifact (metrics digest, trace export, progress JSONL
-header, bench record, postmortem bundle) carries ``schema_version`` +
-``repro_version``; every loader accepts a stamp-less artifact as v0.
+header, postmortem bundle) carries ``schema_version`` + ``repro_version``;
+every loader accepts a stamp-less artifact as v0, and the postmortem
+loader rejects one from a newer schema.
 """
 
 import json
@@ -11,9 +12,10 @@ import pytest
 
 import repro
 import repro.obs as obs
-from repro.bench.harness import CaseStats, make_record, validate_bench_record
 from repro.obs import ProgressEvent
+from repro.obs.flight import FlightRecorder, PostmortemError, load_postmortem
 from repro.obs.schema import SCHEMA_VERSION, artifact_stamp, artifact_version
+from repro.utils.persist import atomic_write_json
 
 
 class TestStamp:
@@ -67,36 +69,27 @@ class TestEmitters:
         status = StatusTracker().status()
         assert artifact_version(status) == SCHEMA_VERSION
 
-    def test_bench_record_carries_the_stamp(self):
-        record = make_record(
-            "unit",
-            {"case": CaseStats.from_samples([0.1, 0.2, 0.3], warmup=1)},
-            quick=True,
-            seed=0,
-        )
-        assert artifact_version(record) == SCHEMA_VERSION
-        validate_bench_record(record)
+
+def _write_bundle(path, **stamp):
+    """A real recorder bundle, re-stamped with ``stamp`` (``None`` drops a field)."""
+    bundle = FlightRecorder().bundle("unit")
+    for key, value in stamp.items():
+        if value is None:
+            del bundle[key]
+        else:
+            bundle[key] = value
+    atomic_write_json(path, bundle)
+    return path
 
 
 class TestLoaders:
-    def test_bench_loader_accepts_stampless_v0_record(self):
-        record = make_record(
-            "unit",
-            {"case": CaseStats.from_samples([0.1], warmup=0)},
-            quick=True,
-            seed=0,
-        )
-        del record["schema_version"]
-        del record["repro_version"]
-        validate_bench_record(record)  # v0: accepted
+    def test_postmortem_loader_accepts_stampless_v0_bundle(self, tmp_path):
+        path = _write_bundle(str(tmp_path / "v0.json"), schema_version=None, repro_version=None)
+        bundle = load_postmortem(path)  # v0: accepted
+        assert bundle["schema_version"] == 0
+        assert bundle["repro_version"] is None
 
-    def test_bench_loader_rejects_future_schema(self):
-        record = make_record(
-            "unit",
-            {"case": CaseStats.from_samples([0.1], warmup=0)},
-            quick=True,
-            seed=0,
-        )
-        record["schema_version"] = SCHEMA_VERSION + 1
-        with pytest.raises(ValueError, match="newer than"):
-            validate_bench_record(record)
+    def test_postmortem_loader_rejects_future_schema(self, tmp_path):
+        path = _write_bundle(str(tmp_path / "future.json"), schema_version=SCHEMA_VERSION + 1)
+        with pytest.raises(PostmortemError, match="newer than"):
+            load_postmortem(path)
