@@ -148,9 +148,10 @@ class BatchedNetworkEvaluator:
         Bit-identical to running each configuration through
         ``apply_configuration`` + ``model(x)`` sequentially (property-tested
         at the uint level, which is NaN-safe). The caller owns hazard
-        accounting — feed each ``logits[i]`` slice to the campaign's
-        :class:`~repro.core.hazard.NumericalHazardGuard` exactly as the
-        sequential statistic does. Passing that guard here additionally
+        accounting — score the stack with the campaign's
+        :meth:`~repro.core.hazard.NumericalHazardGuard.score_rows`, which
+        equals scoring each ``logits[i]`` as the sequential statistic
+        does. Passing that guard here additionally
         counts the FP error events (overflow/invalid) the sweep raises;
         without one they are silenced. Event *counts* are op-granular
         diagnostics and differ from the sequential path's — the scored
@@ -261,16 +262,26 @@ class BatchedNetworkEvaluator:
     def _stacked_parameter(
         self, configurations: list[FaultConfiguration], name: str, golden: np.ndarray
     ) -> np.ndarray:
-        """(k, *shape) faulted copies of one parameter (sparse XOR per row)."""
+        """(k, *shape) faulted copies of one parameter.
+
+        All rows' sparse masks are applied in one fancy-index XOR over the
+        flattened stack. Each row's elements are unique, so every
+        ``(row, element)`` pair is too, and the XOR equals a per-row one
+        exactly.
+        """
         k = len(configurations)
         stack = np.empty((k,) + golden.shape, dtype=golden.dtype)
         stack[...] = golden
-        bits = stack.reshape(k, -1).view(np.uint32)
+        bits = stack.reshape(-1).view(np.uint32)
         with obs.phase("flip.sparse"):
+            indices, lane_masks = [], []
             for i, configuration in enumerate(configurations):
                 if name in configuration and configuration.touches(name):
                     sparse = configuration.sparse(name)
-                    bits[i, sparse.elements] ^= sparse.lane_masks
+                    indices.append(sparse.elements + i * golden.size)
+                    lane_masks.append(sparse.lane_masks)
+            if indices:
+                bits[np.concatenate(indices)] ^= np.concatenate(lane_masks)
         return stack
 
     def _run_dense(

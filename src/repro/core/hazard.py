@@ -189,6 +189,35 @@ class NumericalHazardGuard:
             self.hazard_evaluations += 1
         return hazard_aware_error(array, labels)
 
+    def score_rows(self, logits, labels: np.ndarray) -> np.ndarray:
+        """:meth:`score` for a stack of ``k`` evaluations in one pass.
+
+        ``logits`` has shape ``(k, B, classes)``. Returns the ``k`` errors,
+        each bit-identical to ``score(logits[i], labels)``, and leaves every
+        counter exactly where ``k`` calls to :meth:`score` would: a clean
+        evaluation scores ``1 - correct / B`` (as
+        :func:`~repro.train.metrics.classification_error` does), a
+        hazardous one ``(misclassified finite rows + hazard rows) / B``.
+        """
+        array = _logit_array(logits)
+        labels = np.asarray(labels)
+        k, batch = array.shape[:2]
+        if labels.shape[0] != batch:
+            raise ValueError(f"batch mismatch: {batch} logits vs {labels.shape[0]} labels")
+        self.evaluations += k
+        self.rows += k * batch
+        hits = array.argmax(axis=2) == labels
+        errors = 1.0 - hits.sum(axis=1) / batch
+        if np.isfinite(array).all():
+            return errors
+        finite = np.isfinite(array).all(axis=2)
+        hazards = batch - finite.sum(axis=1)
+        hazardous = hazards > 0
+        self.hazard_rows += int(hazards.sum())
+        self.hazard_evaluations += int(hazardous.sum())
+        wrong = (~hits & finite).sum(axis=1) + hazards
+        return np.where(hazardous, wrong / batch, errors)
+
     def report(self) -> HazardReport:
         """Freeze the counters into an immutable report."""
         return HazardReport(

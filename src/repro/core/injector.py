@@ -594,8 +594,8 @@ class BayesianFaultInjector:
                             _record_configuration(self._active_metrics, configuration)
                     with obs.phase("forward.eval"):
                         logits = engine.evaluate_logits(chunk, guard=guard)
-                    for configuration, row in zip(chunk, logits):
-                        value = guard.score(row, self.labels)
+                    values = guard.score_rows(logits, self.labels)
+                    for configuration, value in zip(chunk, values):
                         chain.record(value, configuration.total_flips(), accepted=True)
                         done += 1
                         if obs.listening() and done % PROGRESS_EVERY == 0:

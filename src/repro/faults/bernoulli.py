@@ -62,9 +62,8 @@ class BernoulliBitFlipModel(FaultModel):
         positions — and therefore every downstream statistic — are
         bit-identical whichever representation a campaign uses.
         """
-        shape = np.asarray(values).shape
-        n = int(np.prod(shape)) if shape else 1
-        positions = sample_flip_positions(n, self.p, rng, bits=self.bits)
+        shape = np.shape(values)
+        positions = sample_flip_positions(math.prod(shape), self.p, rng, bits=self.bits)
         return SparseMask.from_positions(positions, shape)
 
     def log_prob_mask(self, mask: np.ndarray) -> float:

@@ -4,16 +4,21 @@ At the paper's flip probabilities (1e-5 … 1e-3) a Bernoulli draw touches a
 handful of the millions of bits in a parameter tensor. Carrying the draw as
 a dense uint32 array of the parameter's shape makes every campaign step pay
 O(N) — sampling already avoids that (:func:`repro.bits.sample_flip_positions`
-is O(K)), but densifying immediately afterwards throws the advantage away.
+draws the K flipped positions directly), but densifying immediately
+afterwards throws the advantage away.
 
 :class:`SparseMask` keeps the draw in (element indices, per-element lane
-masks) form, so configuration algebra (XOR for MCMC proposals, Hamming
-weights, emptiness tests) and the copy-on-write apply/restore in
-:func:`repro.faults.injection.apply_configuration` all run in O(K). A dense
-view is materialised only where a consumer genuinely needs one.
+masks) form. Folding the K positions into it is one sort plus one
+run-wise OR, O(K log K). From then on Hamming weights, emptiness tests and
+the copy-on-write apply/restore in
+:func:`repro.faults.injection.apply_configuration` run in O(K), and XOR
+for MCMC proposals in O(K log K). A dense view is materialised only where
+a consumer genuinely needs one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -64,10 +69,14 @@ class SparseMask:
 
     @classmethod
     def from_positions(cls, positions: np.ndarray, shape: tuple[int, ...]) -> "SparseMask":
-        """Build from flat bit positions (as drawn by the samplers), O(K log K)."""
+        """Build from flat bit positions (as drawn by the samplers).
+
+        The positions are sorted and folded run by run
+        (:func:`repro.bits.positions_to_sparse`), O(K log K) in the number
+        of flipped bits; the range check reads the sorted ends.
+        """
         elements, lane_masks = positions_to_sparse(positions)
-        n = int(np.prod(shape)) if shape else 1
-        if elements.size and (elements.min() < 0 or elements.max() >= n):
+        if elements.size and (elements[0] < 0 or elements[-1] >= math.prod(shape)):
             raise ValueError("bit position out of range for shape")
         return cls(shape, elements, lane_masks)
 
@@ -78,7 +87,7 @@ class SparseMask:
     @property
     def size(self) -> int:
         """Number of elements in the (dense) target tensor."""
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def touched(self) -> int:

@@ -37,6 +37,7 @@ and postmortem bundles all read the same fold.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 
@@ -189,6 +190,9 @@ class EstimatorTracker(ProgressSink):
         self.target = target
         self._lock = threading.Lock()
         self._contributions: dict[int, dict] = {}
+        #: bumped whenever ``emit`` inserts a new task; keys the document cache
+        self._generation = 0
+        self._cached: tuple[int, dict] | None = None
 
     # -- sink side ----------------------------------------------------- #
 
@@ -210,7 +214,9 @@ class EstimatorTracker(ProgressSink):
         }
         with self._lock:
             # first delivery wins: replays and duplicates are no-ops
-            self._contributions.setdefault(contribution["task"], contribution)
+            if contribution["task"] not in self._contributions:
+                self._contributions[contribution["task"]] = contribution
+                self._generation += 1
 
     @property
     def contributions(self) -> int:
@@ -225,10 +231,25 @@ class EstimatorTracker(ProgressSink):
 
         A pure function of the folded outcome set: no wall times, no
         delivery-order dependence — an interrupted-and-resumed campaign
-        reproduces the uninterrupted document bit for bit.
+        reproduces the uninterrupted document bit for bit. The document is
+        built once per fold generation; each call returns a private copy,
+        so no caller can alter what the next one reads.
         """
+        return copy.deepcopy(self._document())
+
+    def _document(self) -> dict:
+        """The cached document of the current fold generation (do not mutate)."""
         with self._lock:
+            if self._cached is not None and self._cached[0] == self._generation:
+                return self._cached[1]
+            generation = self._generation
             ordered = [self._contributions[task] for task in sorted(self._contributions)]
+        document = self._build(ordered)
+        with self._lock:
+            self._cached = (generation, document)
+        return document
+
+    def _build(self, ordered: list[dict]) -> dict:
         mass = self.target.mass if self.target is not None else DEFAULT_MASS
         strata: dict[tuple[str, str, float], list[dict]] = {}
         for contribution in ordered:
@@ -327,7 +348,7 @@ class EstimatorTracker(ProgressSink):
         """
         if self.target is None:
             raise ValueError("the stopping report needs a tracker with a StoppingTarget")
-        document = self.estimates()
+        document = self._document()
         lines = [
             f"stopping monitor: target halfwidth {self.target.halfwidth:g} "
             f"at {self.target.mass:.0%} credible mass"
@@ -358,7 +379,7 @@ class EstimatorTracker(ProgressSink):
         stopping target is armed — the ``repro_strata_converged_total``
         counter ("k of S strata meet the target half-width").
         """
-        document = self.estimates()
+        document = self._document()
         if not document["tasks"]:
             return []
         stratum_mean = []

@@ -126,3 +126,13 @@ class TestPopcount:
         values = rng.integers(0, 2**32, size=200, dtype=np.uint32)
         expected = sum(int(v).bit_count() for v in values)
         assert count_set_bits(values) == expected
+
+    def test_scalar_and_nd(self):
+        assert count_set_bits(np.uint32(0xF0F0F0F0)) == 16
+        assert count_set_bits(np.full((3, 4), 0xFFFFFFFF, dtype=np.uint32)) == 3 * 4 * 32
+
+    def test_returns_python_int_and_leaves_input(self):
+        mask = np.array([0xFFFFFFFF, 7], dtype=np.uint32)
+        count = count_set_bits(mask)
+        assert type(count) is int and count == 35
+        assert mask.tolist() == [0xFFFFFFFF, 7]

@@ -55,7 +55,7 @@ def float_bits(x: np.ndarray) -> np.ndarray:
 
 
 class TestPopcountProperties:
-    @given(st.lists(_uint32, min_size=1, max_size=50))
+    @given(st.lists(_uint32, min_size=0, max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_matches_int_bit_count(self, words):
         arr = np.asarray(words, dtype=np.uint32)

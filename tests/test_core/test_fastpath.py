@@ -244,6 +244,50 @@ class TestBatchedBitIdentity:
         assert_untouched(lenet_injector, golden)
 
 
+def per_row_stack(configurations, name, golden):
+    """Reference for ``_stacked_parameter``: one sparse XOR per configuration row."""
+    k = len(configurations)
+    stack = np.repeat(golden[None], k, axis=0)
+    bits = stack.reshape(k, -1).view(np.uint32)
+    for i, configuration in enumerate(configurations):
+        if name in configuration and configuration.touches(name):
+            sparse = configuration.sparse(name)
+            bits[i, sparse.elements] ^= sparse.lane_masks
+    return stack
+
+
+class TestStackedParameter:
+    """The chunk-wide fancy-index XOR equals the per-row XOR bit for bit."""
+
+    @pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5])
+    @pytest.mark.parametrize("arch_injector", ["mlp", "lenet", "resnet"], indirect=True)
+    def test_matches_per_row_xor(self, arch_injector, p, rng):
+        injector = arch_injector
+        fault_model = BernoulliBitFlipModel(p)
+        targets = injector.parameter_targets
+        configurations = [FaultConfiguration.sample(targets, fault_model, rng) for _ in range(5)]
+        configurations.insert(2, FaultConfiguration.empty(targets))
+        configurations[0].mask(targets[0][0])  # dense storage takes the same route
+        configurations.append(FaultConfiguration({}))  # a row without the target
+        engine = injector._engine()
+        for name, param in targets:
+            golden = param.data.copy()
+            stacked = engine._stacked_parameter(configurations, name, param.data)
+            assert stacked.shape == (len(configurations),) + param.data.shape
+            assert np.array_equal(
+                as_bits(stacked), as_bits(per_row_stack(configurations, name, golden))
+            )
+            assert np.array_equal(as_bits(param.data), as_bits(golden))
+
+    def test_untouched_rows_stay_golden(self, lenet_injector):
+        targets = lenet_injector.parameter_targets
+        name, param = targets[0]
+        configurations = [FaultConfiguration.empty(targets) for _ in range(3)]
+        stacked = lenet_injector._engine()._stacked_parameter(configurations, name, param.data)
+        for row in stacked:
+            assert np.array_equal(as_bits(row), as_bits(param.data))
+
+
 class TestFastCampaignIdentity:
     @pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5])
     def test_forward_campaign_bit_identical(self, lenet_setup, p):

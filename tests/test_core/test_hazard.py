@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.campaign import CampaignResult
 from repro.core.hazard import HazardReport, NumericalHazardGuard
@@ -67,6 +69,76 @@ class TestGuardScore:
             warnings.simplefilter("always")
             np.float32(3e38) * np.float32(10.0)
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+_POISON = (np.nan, np.inf, -np.inf)
+_COUNTERS = ("evaluations", "hazard_evaluations", "rows", "hazard_rows")
+
+
+@st.composite
+def poisoned_stacks(draw):
+    """(k, B, C) float32 logits with NaN/±inf sprinkled over some rows, plus labels."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    batch = draw(st.integers(min_value=1, max_value=12))
+    classes = draw(st.integers(min_value=2, max_value=5))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # few distinct values, so argmax ties (first index wins) are common
+    logits = rng.integers(-2, 3, size=(k, batch, classes)).astype(np.float32)
+    cells = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, batch - 1),
+                                    st.integers(0, classes - 1), st.sampled_from(_POISON)),
+                          max_size=10))
+    for i, row, column, value in cells:
+        logits[i, row, column] = value
+    labels = rng.integers(0, classes, size=batch)
+    return logits, labels
+
+
+def counters(guard):
+    return {name: getattr(guard, name) for name in _COUNTERS}
+
+
+class TestScoreRows:
+    """``score_rows`` over a stack equals ``score`` row by row, counters included."""
+
+    @given(poisoned_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_score(self, stack):
+        logits, labels = stack
+        rows_guard, stack_guard = NumericalHazardGuard(), NumericalHazardGuard()
+        expected = np.array([rows_guard.score(row, labels) for row in logits])
+        errors = stack_guard.score_rows(logits, labels)
+        assert errors.dtype == np.float64 and errors.shape == (len(logits),)
+        assert np.array_equal(errors.view(np.uint64), expected.view(np.uint64))
+        assert counters(stack_guard) == counters(rows_guard)
+
+    def test_nan_and_inf_rows_counted_once_per_evaluation(self):
+        logits = np.zeros((3, 4, 2), dtype=np.float32)
+        logits[0, :, 0] = 1.0  # every row predicts class 0: clean and correct
+        logits[1, 1] = [np.nan, 0.0]
+        logits[1, 2] = [np.inf, -np.inf]
+        logits[2, 3] = [-np.inf, 5.0]
+        labels = np.zeros(4, dtype=np.int64)
+        guard = NumericalHazardGuard()
+        guard.score_rows(logits[:1], labels)  # counters accumulate across calls
+        errors = guard.score_rows(logits, labels)
+        assert errors.tolist() == [0.0, 0.5, 0.25]  # hazard rows are errors, the rest correct
+        assert counters(guard) == {
+            "evaluations": 4, "hazard_evaluations": 2, "rows": 16, "hazard_rows": 3,
+        }
+
+    def test_broadcast_stack_of_shared_logits(self):
+        rng = np.random.default_rng(4)
+        shared = rng.normal(size=(10, 3)).astype(np.float32)
+        labels = rng.integers(0, 3, size=10)
+        guard = NumericalHazardGuard()
+        errors = guard.score_rows(np.broadcast_to(shared, (5, 10, 3)), labels)
+        assert errors.tolist() == [classification_error(shared, labels)] * 5
+        assert guard.rows == 50 and guard.hazard_rows == 0
+
+    def test_batch_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="batch mismatch"):
+            NumericalHazardGuard().score_rows(np.zeros((2, 4, 3)), np.zeros(5, dtype=np.int64))
 
 
 class TestHazardReport:

@@ -51,6 +51,14 @@ class TestSparseMask:
         with pytest.raises(ValueError):
             SparseMask.from_positions(np.asarray([2 * 32]), (2,))
 
+    def test_range_check_reads_both_sorted_ends(self):
+        for position in (-1, 2 * 32):
+            with pytest.raises(ValueError, match="out of range"):
+                SparseMask.from_positions(np.asarray([40, position, 2]), (2,))
+        sparse = SparseMask.from_positions(np.asarray([2 * 32 - 1, 0]), (2,))
+        assert sparse.elements.tolist() == [0, 1]
+        assert sparse.lane_masks.tolist() == [1, 0x80000000]
+
 
 class TestConfigurationStorage:
     def test_sample_stores_sparse_and_mask_densifies(self, rng):

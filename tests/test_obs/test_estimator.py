@@ -148,6 +148,61 @@ class TestTrackerFold:
         assert json.dumps(in_order.estimates()) == json.dumps(shuffled.estimates())
 
 
+class TestDocumentCache:
+    """The document is built once per fold generation and never leaks shared state."""
+
+    @staticmethod
+    def counting_builds(tracker, monkeypatch):
+        builds = []
+        build = tracker._build
+        monkeypatch.setattr(tracker, "_build", lambda ordered: builds.append(1) or build(ordered))
+        return builds
+
+    def test_built_once_per_generation(self, monkeypatch):
+        tracker = EstimatorTracker(target=StoppingTarget(0.2))
+        builds = self.counting_builds(tracker, monkeypatch)
+        tracker.emit(_event(0, degraded=[1]))
+        for _ in range(3):
+            tracker.estimates()
+        tracker.metric_families()
+        tracker.report_lines()
+        assert len(builds) == 1
+        tracker.emit(_event(0, degraded=[4]))  # duplicate task: same generation
+        tracker.emit(ProgressEvent(kind="executor.task_done", payload={"task": 1}))
+        tracker.estimates()
+        assert len(builds) == 1
+        tracker.emit(_event(1, degraded=[2, 3]))  # a new task bumps the generation
+        assert tracker.estimates()["tasks"] == 2
+        assert len(builds) == 2
+
+    def test_interleaved_queries_match_a_fresh_fold(self):
+        events = [_event(i, trials=12, degraded=range(i % 5), p=[1e-3, 1e-2][i % 2]) for i in range(9)]
+        live = EstimatorTracker(target=StoppingTarget(0.15))
+        for event in events:
+            live.emit(event)
+            live.estimates()
+        fresh = EstimatorTracker(target=StoppingTarget(0.15))
+        for event in events:
+            fresh.emit(event)
+        assert json.dumps(live.estimates()) == json.dumps(fresh.estimates())
+        assert live.metric_families() == fresh.metric_families()
+
+    def test_callers_cannot_mutate_the_cached_document(self):
+        tracker = EstimatorTracker(target=StoppingTarget(0.1))
+        for i in range(3):
+            tracker.emit(_event(i, trials=15, degraded=range(i)))
+        pristine = json.dumps(tracker.estimates())
+        families = tracker.metric_families()
+        document = tracker.estimates()
+        document["overall"]["mean"] = -1.0
+        document["overall"]["interval"].append(7.0)
+        document["strata"][0]["history"].clear()
+        document["strata"].append({"layer": "forged"})
+        document["converged"]["converged"] = 99
+        assert json.dumps(tracker.estimates()) == pristine
+        assert tracker.metric_families() == families
+
+
 class TestEstimatesDocument:
     def test_posterior_matches_beta_by_hand(self):
         from repro.bayes.distributions import Beta
