@@ -31,7 +31,7 @@ from repro.core.outcomes import OutcomeCampaign, ConfigurationOutcome
 from repro.core.assessment import ResilienceAssessment, assess_model
 from repro.core.tracing import PropagationTrace, LayerDivergence, trace_fault_propagation
 from repro.core.batched import BatchedNetworkEvaluator
-from repro.core.prefix import ChainStep, forward_chain, run_chain
+from repro.core.prefix import ChainStep, GoldenTrace, forward_chain, run_chain
 from repro.core.hazard import HazardReport, NumericalHazardGuard, hazard_aware_error
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "trace_fault_propagation",
     "BatchedNetworkEvaluator",
     "ChainStep",
+    "GoldenTrace",
     "forward_chain",
     "run_chain",
     "HazardReport",

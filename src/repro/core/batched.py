@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 import repro.obs as obs
-from repro.core.prefix import forward_chain
 from repro.faults.configuration import FaultConfiguration
 from repro.nn.containers import Sequential
 from repro.nn.conv import Conv2d
@@ -63,7 +62,7 @@ class BatchedNetworkEvaluator:
     faulted forwards while doing far less work:
 
     * the chain runs *once*, shared, up to the first faulted segment (the
-      golden activation entering it is captured at construction — clean
+      golden activation entering it comes from the golden trace — clean
       prefix reuse for every later sweep);
     * a faulted Conv2d/Dense/BatchNorm contracts all ``k`` stacked faulted
       parameter tensors against the shared input in one einsum/GEMM
@@ -72,27 +71,23 @@ class BatchedNetworkEvaluator:
       ``k`` axis folded into the batch axis — valid because eval-mode
       modules are batch-independent.
 
-    Construction decomposes the model once, assigns every fault target to
-    the chain step owning it, and runs the chain once over the evaluation
-    batch: that run checks the logits bit-for-bit against the injector's
-    golden logits and captures the activation entering the cut. It raises
-    when the model cannot be decomposed-and-verified or the campaign has
-    non-parameter surfaces, so callers can fall back to the standard path.
+    Construction runs no forward: it reads the verified chain and the
+    golden activation entering the cut from the injector's
+    :class:`~repro.core.prefix.GoldenTrace` (whose first request runs and
+    verifies the chain, once per trace), and assigns every fault target to
+    the chain step owning it. It raises when the model cannot be
+    decomposed-and-verified or the campaign has non-parameter surfaces, so
+    callers can fall back to the standard path.
     """
 
     def __init__(self, injector) -> None:
         if not injector._parameter_only():
             raise ValueError("the segment engine supports parameter surfaces only")
-        model = injector.model
-        self.injector = injector
-        steps = forward_chain(model)
-        if steps is None:
-            raise TypeError(
-                f"no forward chain for {type(model).__name__}; batched evaluation unsupported"
-            )
-        for _, module in model.named_modules():
+        for _, module in injector.model.named_modules():
             if module.training:
                 raise ValueError("batched evaluation requires eval-mode models")
+        self.injector = injector
+        steps, activations = injector.trace.chain()
         #: the verified forward chain
         self.steps = steps
         #: dotted target name → index of the chain step owning it
@@ -112,14 +107,8 @@ class BatchedNetworkEvaluator:
             self.owners[target] = owner
         #: static prefix cut: the first chain step any fault target lives in
         self.cut = min(self.owners.values())
-        x = Tensor(np.asarray(injector.inputs))
-        with no_grad(), np.errstate(all="ignore"):
-            for index, step in enumerate(steps):
-                if index == self.cut:
-                    self.prefix = x.data  # golden activation entering steps[cut]
-                x = step(x)
-        if not np.array_equal(x.data.view(np.uint8), injector._golden_logits.view(np.uint8)):
-            raise ValueError("forward chain is not bit-identical to model forward")
+        #: golden activation entering ``steps[cut]``
+        self.prefix = activations[self.cut]
 
     def _check_touched_modules(self, module: Module, name: str, target: str) -> None:
         """Ensure the leaf module owning ``target`` has a batched handler."""

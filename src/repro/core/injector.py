@@ -50,6 +50,7 @@ from repro.exec.specs import (
     TemperingSpec,
 )
 from repro.core.posterior import ErrorPosterior
+from repro.core.prefix import GoldenTrace
 from repro.faults.bernoulli import BernoulliBitFlipModel
 from repro.faults.configuration import FaultConfiguration
 from repro.faults.injection import ActivationInjector, InputInjector, apply_configuration
@@ -131,6 +132,13 @@ class BayesianFaultInjector:
         uses the engine whenever the model supports it; ``False`` forces
         the standard path (a debugging escape hatch); ``True`` demands the
         engine and raises if it is unavailable.
+    trace:
+        Optional :class:`~repro.core.prefix.GoldenTrace` of ``model`` on
+        ``inputs``, shared by injectors over the same model object and
+        batch so the golden forward and the chain verification run once
+        for all of them; without one the injector builds its own. A trace
+        built for another model object or other inputs raises
+        :class:`ValueError`.
     """
 
     def __init__(
@@ -141,6 +149,7 @@ class BayesianFaultInjector:
         spec: TargetSpec | None = None,
         seed: int = 0,
         fast: bool | None = None,
+        trace: GoldenTrace | None = None,
     ) -> None:
         inputs = np.asarray(inputs, dtype=np.float32)
         labels = np.asarray(labels, dtype=np.int64)
@@ -178,15 +187,23 @@ class BayesianFaultInjector:
                 "and cannot reuse cached activations"
             )
 
+        if trace is None:
+            trace = GoldenTrace(self.model, inputs)
+        elif not trace.matches(self.model, inputs):
+            raise ValueError("golden trace was built for a different model object or inputs")
+        #: golden logits and, on first engine build, the verified chain
+        self.trace = trace
         self._x = Tensor(self.inputs)
-        with no_grad():
-            #: fault-free logits; the segment engine verifies its chain against them
-            self._golden_logits = self.model(self._x).data
         self._golden_error = classification_error(self._golden_logits, self.labels)
 
     # ------------------------------------------------------------------ #
     # evaluation primitives
     # ------------------------------------------------------------------ #
+
+    @property
+    def _golden_logits(self) -> np.ndarray:
+        """Fault-free logits on the evaluation batch."""
+        return self.trace.logits
 
     @property
     def golden_error(self) -> float:

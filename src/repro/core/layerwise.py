@@ -22,6 +22,7 @@ from scipy import stats as sps
 import repro.obs as obs
 from repro.core.campaign import CampaignResult
 from repro.core.injector import BayesianFaultInjector
+from repro.core.prefix import GoldenTrace
 from repro.exec.executor import CampaignTask, InjectorRecipe, ParallelCampaignExecutor
 from repro.exec.specs import ForwardSpec
 from repro.faults.targets import TargetSpec, resolve_parameter_targets
@@ -86,7 +87,10 @@ class LayerwiseCampaign:
         Segment-engine selection forwarded to every per-layer injector
         (``None`` uses the bit-identical engine when supported — layerwise
         campaigns are its best case, since deep layers reuse long clean
-        prefixes; ``False`` forces the standard path).
+        prefixes; ``False`` forces the standard path). In-process runs
+        hand every layer's injector one shared
+        :class:`~repro.core.prefix.GoldenTrace`, so the clean forward and
+        the chain verification run once per campaign, not once per layer.
     """
 
     model: Module
@@ -139,6 +143,7 @@ class LayerwiseCampaign:
             ]
             return self.executor.execute(tasks)
         campaigns = []
+        trace = None  # built on the first layer not served from the journal
         for depth, layer in enumerate(self.layers):
             key = None
             if self.journal is not None:
@@ -156,9 +161,11 @@ class LayerwiseCampaign:
                     publish_outcome(depth, cached, spec=spec, target=self._layer_spec(layer))
                     campaigns.append(cached)
                     continue
+            if trace is None:
+                trace = GoldenTrace(self.model, self.inputs)
             injector = BayesianFaultInjector(
                 self.model, self.inputs, self.labels,
-                spec=self._layer_spec(layer), seed=self.seed + depth, fast=self.fast,
+                spec=self._layer_spec(layer), seed=self.seed + depth, fast=self.fast, trace=trace,
             )
             outcome = injector.run(spec)
             if self.journal is not None:

@@ -6,6 +6,23 @@ multiply. That keeps both the forward pass and the gradient fully
 vectorised, which matters because BDLFI campaigns run thousands of forward
 passes per probability point.
 
+Gather layout. ``conv2d`` builds its patch matrix from a strided
+:func:`~numpy.lib.stride_tricks.sliding_window_view` with one contiguous
+copy, laid out batch-major as ``(batch, positions, features)``, and hands
+einsum a ``(batch, features, positions)`` transposed view of it. einsum
+lowers ``of,bfp->bop`` to one GEMM on that operand reshaped to
+``(batch*positions, features)``, and in this layout the reshape is free.
+An indexed gather (``x_padded[:, k, i, j]``) returns the matrix with the
+batch axis innermost in memory instead, so einsum had to copy it again on
+every call: a second full pass over the largest array of the forward.
+The layout is also the one that copy produced, so the GEMM call is
+unchanged and outputs are bit-identical to the indexed gather. (With one
+image or one output position einsum's reshape of the indexed gather was a
+view, features-major, so that case copies features-major too.) The weight
+gradient contracts over ``(batch, positions)`` and gets a features-major
+copy, again as before. Pooling and the backward scatter keep the cached
+:func:`im2col_indices`.
+
 Layout convention: images are NCHW (batch, channels, height, width) —
 the layout the paper's ResNet-18 uses.
 """
@@ -102,8 +119,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     x_padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
     k, i, j, out_h, out_w = im2col_indices(x.shape, kh, kw, stride, padding)
 
-    # cols: (batch, C*kh*kw, out_h*out_w)
-    cols = x_padded[:, k, i, j]
+    # cols: (batch, C*kh*kw, out_h*out_w), a transposed view of one
+    # contiguous copy of the (B, C, out_h, out_w, kh, kw) window view; see
+    # the module docstring for why the copy's order is the one below.
+    windows = np.lib.stride_tricks.sliding_window_view(x_padded, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    positions = out_h * out_w
+    if batch == 1 or positions == 1:
+        patches = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+        cols = patches.reshape(-1, batch, positions).transpose(1, 0, 2)
+    else:
+        patches = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+        cols = patches.reshape(batch, positions, -1).transpose(0, 2, 1)
     w_mat = weight.data.reshape(out_c, -1)  # (out_c, C*kh*kw)
     out = np.einsum("of,bfp->bop", w_mat, cols, optimize=True)
     if bias is not None:
@@ -116,7 +143,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     def _backward(grad: np.ndarray) -> None:
         grad_mat = grad.reshape(batch, out_c, -1)  # (batch, out_c, P)
         if weight.requires_grad:
-            gw = np.einsum("bop,bfp->of", grad_mat, cols, optimize=True)
+            # einsum contracts over (b, p) on cols laid out as (f, b*p); hand
+            # it that layout C-contiguous, as the indexed gather's copy was,
+            # so the GEMM call and the gradient bits do not change.
+            cols_fbp = np.ascontiguousarray(cols.transpose(1, 0, 2)).transpose(1, 0, 2)
+            gw = np.einsum("bop,bfp->of", grad_mat, cols_fbp, optimize=True)
             weight._accumulate(gw.reshape(weight.shape).astype(weight.dtype))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 2)).astype(bias.dtype))

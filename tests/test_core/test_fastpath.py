@@ -15,6 +15,7 @@ import pytest
 from repro.core import (
     BatchedNetworkEvaluator,
     BayesianFaultInjector,
+    GoldenTrace,
     NumericalHazardGuard,
     hazard_aware_error,
 )
@@ -324,6 +325,24 @@ class TestFastCampaignIdentity:
         assert slow._engine() is None
 
 
+class Wrapped(Module):
+    """Forward override with no forward chain: the chain cannot be built."""
+
+    def __init__(self):
+        super().__init__()
+        self.inner = MLP(2, (4,), 2, rng=0)
+
+    def forward(self, x):
+        return self.inner(x)
+
+
+class Doubled(MLP):
+    """Forward override of a chained class: the chain fails verification."""
+
+    def forward(self, x):
+        return super().forward(x) * 2.0
+
+
 class TestFastValidation:
     def test_fast_true_rejects_transient_surfaces(self, trained_mlp, moons_eval):
         eval_x, eval_y = moons_eval
@@ -335,17 +354,9 @@ class TestFastValidation:
             )
 
     def test_fast_true_raises_for_undecomposable_model(self, moons_eval):
-        class Custom(Module):
-            def __init__(self):
-                super().__init__()
-                self.inner = MLP(2, (4,), 2, rng=0)
-
-            def forward(self, x):
-                return self.inner(x)
-
         eval_x, eval_y = moons_eval
-        assert BayesianFaultInjector(Custom().eval(), eval_x, eval_y)._engine() is None
-        injector = BayesianFaultInjector(Custom().eval(), eval_x, eval_y, fast=True)
+        assert BayesianFaultInjector(Wrapped().eval(), eval_x, eval_y)._engine() is None
+        injector = BayesianFaultInjector(Wrapped().eval(), eval_x, eval_y, fast=True)
         with pytest.raises(ValueError, match="fast=True"):
             injector.forward_campaign(1e-3, samples=4, chains=1)
 
@@ -360,6 +371,87 @@ class TestFastValidation:
             BatchedNetworkEvaluator(injector)
         result = injector.forward_campaign(1e-3, samples=8, chains=2)
         assert result.chains.steps == 4
+
+
+class TestTraceGuard:
+    """Injectors sharing one GoldenTrace: guards and the failing-chain cases."""
+
+    @pytest.fixture()
+    def chain_runs(self, monkeypatch):
+        runs = []
+        verified_chain = GoldenTrace._verified_chain
+
+        def count(trace):
+            runs.append(trace)
+            return verified_chain(trace)
+
+        monkeypatch.setattr(GoldenTrace, "_verified_chain", count)
+        return runs
+
+    def test_trace_for_another_model_object_rejected(self, lenet_setup):
+        model, x, y = lenet_setup
+        twin = LeNet(in_channels=3, image_size=12, rng=0).eval()
+        with pytest.raises(ValueError, match="golden trace"):
+            BayesianFaultInjector(model, x, y, trace=GoldenTrace(twin, x))
+
+    @pytest.mark.parametrize("other", [lambda x: x[::-1].copy(), lambda x: x[:3], lambda x: -x])
+    def test_trace_for_other_inputs_rejected(self, lenet_setup, other):
+        model, x, y = lenet_setup
+        with pytest.raises(ValueError, match="golden trace"):
+            BayesianFaultInjector(model, x, y, trace=GoldenTrace(model, other(x)))
+
+    def test_matching_trace_is_shared(self, lenet_setup, chain_runs):
+        model, x, y = lenet_setup
+        trace = GoldenTrace(model, x)
+        first = BayesianFaultInjector(
+            model, x.copy(), y, spec=TargetSpec.single_layer("features.0"), trace=trace
+        )
+        second = BayesianFaultInjector(
+            model, x.astype(np.float64), y, spec=TargetSpec.single_layer("classifier.3"), trace=trace
+        )
+        assert first.trace is second.trace is trace
+        assert first._engine().steps is second._engine().steps
+        assert second._engine().cut > first._engine().cut
+        assert np.array_equal(as_bits(first._golden_logits), as_bits(model(first._x).data))
+        assert len(chain_runs) == 1
+
+    @pytest.fixture(
+        params=[Wrapped, lambda: Doubled(2, (4,), 2, rng=0)], ids=["no-chain", "chain-mismatch"]
+    )
+    def unverifiable(self, request, moons_eval):
+        eval_x, eval_y = moons_eval
+        return request.param().eval(), eval_x, eval_y
+
+    def test_fast_none_injectors_fall_back(self, unverifiable, chain_runs):
+        model, x, y = unverifiable
+        trace = GoldenTrace(model, x)
+        for seed in (1, 2):
+            shared = BayesianFaultInjector(model, x, y, seed=seed, trace=trace)
+            assert shared._engine() is None
+            standard = BayesianFaultInjector(model, x, y, seed=seed, fast=False)
+            rs = standard.forward_campaign(5e-2, samples=8, chains=2)
+            rf = shared.forward_campaign(5e-2, samples=8, chains=2)
+            for cs, cf in zip(rs.chains.chains, rf.chains.chains, strict=True):
+                assert np.array_equal(as_bits(cs.values), as_bits(cf.values))
+        assert len(chain_runs) == 1
+
+    def test_fast_true_injectors_raise(self, unverifiable, chain_runs):
+        model, x, y = unverifiable
+        trace = GoldenTrace(model, x)
+        for seed in (1, 2):
+            injector = BayesianFaultInjector(model, x, y, seed=seed, fast=True, trace=trace)
+            with pytest.raises(ValueError, match="fast=True but the segment engine is unavailable"):
+                injector.forward_campaign(1e-3, samples=4, chains=1)
+        assert len(chain_runs) == 1
+
+    def test_fast_false_injectors_never_run_the_chain(self, unverifiable, chain_runs):
+        model, x, y = unverifiable
+        trace = GoldenTrace(model, x)
+        for seed in (1, 2):
+            injector = BayesianFaultInjector(model, x, y, seed=seed, fast=False, trace=trace)
+            injector.forward_campaign(1e-3, samples=4, chains=1)
+            injector.mcmc_campaign(1e-3, chains=1, steps=4)
+        assert chain_runs == []
 
 
 class TestCliFlag:

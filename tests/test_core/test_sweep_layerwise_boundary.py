@@ -6,11 +6,12 @@ import pytest
 from repro.core import (
     BayesianFaultInjector,
     DecisionBoundaryAnalysis,
+    GoldenTrace,
     LayerwiseCampaign,
     ProbabilitySweep,
 )
 from repro.core.layerwise import parameterised_layers
-from repro.exec import McmcSpec, StratifiedSpec
+from repro.exec import ForwardSpec, McmcSpec, StratifiedSpec
 from repro.faults import BernoulliBitFlipModel, TargetSpec
 
 
@@ -102,6 +103,70 @@ class TestLayerwise:
         eval_x, eval_y = moons_eval
         with pytest.raises(ValueError):
             LayerwiseCampaign(trained_mlp, eval_x, eval_y, p=0.0)
+
+
+def as_bits(array):
+    return np.ascontiguousarray(array).view(np.uint8)
+
+
+def assert_same_campaign(left, right):
+    assert left.mean_error == right.mean_error
+    assert left.hazard.rows == right.hazard.rows
+    assert left.hazard.hazard_rows == right.hazard.hazard_rows
+    for a, b in zip(left.chains.chains, right.chains.chains, strict=True):
+        assert np.array_equal(as_bits(a.values), as_bits(b.values))
+        assert np.array_equal(a.flips, b.flips)
+
+
+class TestLayerwiseSharedTrace:
+    """An in-process layerwise run builds one golden trace for all its layers."""
+
+    @pytest.fixture()
+    def clean_work(self, monkeypatch, tiny_resnet):
+        """Counts of clean ``model(x)`` forwards and of chain verifications."""
+        counts = {"forward": 0, "chain": 0}
+
+        def count_forward(*_):
+            counts["forward"] += 1
+
+        verified_chain = GoldenTrace._verified_chain
+
+        def count_chain(trace):
+            counts["chain"] += 1
+            return verified_chain(trace)
+
+        monkeypatch.setattr(GoldenTrace, "_verified_chain", count_chain)
+        handle = tiny_resnet.register_forward_hook(count_forward)
+        yield counts
+        handle.remove()
+
+    @pytest.mark.parametrize("n_layers", [1, 4, 12])
+    def test_one_forward_and_one_chain_whatever_the_layer_count(
+        self, clean_work, tiny_resnet, tiny_images, n_layers
+    ):
+        x, y = tiny_images
+        layers = tuple(parameterised_layers(tiny_resnet)[:n_layers])
+        campaign = LayerwiseCampaign(
+            tiny_resnet, x, y, p=1e-3, samples=4, chains=1, layers=layers, seed=2
+        ).run()
+        assert len(campaign.results) == n_layers
+        assert clean_work == {"forward": 1, "chain": 1}
+
+    def test_bit_identical_to_independent_injectors_and_standard_path(
+        self, tiny_resnet, tiny_images
+    ):
+        x, y = tiny_images
+        layers = tuple(parameterised_layers(tiny_resnet)[::6])
+        kwargs = dict(p=1e-2, samples=6, chains=2, layers=layers, seed=4)
+        shared = LayerwiseCampaign(tiny_resnet, x, y, **kwargs).run()
+        standard = LayerwiseCampaign(tiny_resnet, x, y, fast=False, **kwargs).run()
+        spec = ForwardSpec(p=1e-2, samples=6, chains=2)
+        for depth, layer in enumerate(layers):
+            independent = BayesianFaultInjector(
+                tiny_resnet, x, y, spec=TargetSpec.single_layer(layer), seed=4 + depth
+            ).run(spec)
+            assert_same_campaign(shared.results[depth].campaign, independent)
+            assert_same_campaign(shared.results[depth].campaign, standard.results[depth].campaign)
 
 
 class TestBoundary:
