@@ -17,6 +17,14 @@ goes through :meth:`BatchedNetworkEvaluator.run_segments`:
 * MCMC and tempered chains recompute from cached segment boundaries
   (:mod:`repro.core.delta`).
 
+One row class skips it:
+
+* golden rows — a configuration that flips no bit is the golden forward,
+  so :meth:`BatchedNetworkEvaluator.evaluate_logits` takes its row from
+  the golden trace's verified logits and runs only the live rows. A layer
+  of ``n`` parameters draws no flip with probability ``(1-p)^(32n)``, so
+  at small ``p`` most single-layer samples of a small layer are golden.
+
 All of them are bit-identical to ``apply_configuration`` + ``model(x)``,
 the standard path — enforced by the differential fast-path tests.
 """
@@ -33,7 +41,7 @@ from repro.nn.layers import Dense
 from repro.nn.models.resnet import BasicBlock
 from repro.nn.module import Module
 from repro.nn.norm import _BatchNorm
-from repro.tensor.functional import im2col_indices
+from repro.tensor.functional import im2col_indices, zero_pad2d
 from repro.tensor.tensor import Tensor, no_grad
 
 __all__ = ["BatchedNetworkEvaluator"]
@@ -145,11 +153,31 @@ class BatchedNetworkEvaluator:
         without one they are silenced. Event *counts* are op-granular
         diagnostics and differ from the sequential path's — the scored
         errors do not.
+
+        Golden rows: a configuration that flips no bit
+        (:meth:`~repro.faults.configuration.FaultConfiguration.is_empty`)
+        is the golden forward, so its row is the golden trace's verified
+        logits and only the live rows go through :meth:`run_segments`. A
+        chunk without live rows runs no segment and returns a read-only
+        broadcast of the golden logits; a mixed chunk returns one stack in
+        the original row order.
         """
-        state = self.run_segments(configurations, self.prefix, self.cut, diverged=False, guard=guard)
-        if not state.diverged:
-            return np.broadcast_to(state.data, (len(configurations),) + state.data.shape)
-        return state.data
+        if not configurations:
+            raise ValueError("need at least one configuration")
+        golden = self.injector.trace.logits
+        stack = np.broadcast_to(golden, (len(configurations),) + golden.shape)
+        live = [i for i, configuration in enumerate(configurations) if not configuration.is_empty()]
+        if not live:
+            return stack
+        rows = [configurations[i] for i in live]
+        # steps[cut] owns a fault target, so the final state is always the
+        # diverged (k, B, classes) stack
+        logits = self.run_segments(rows, self.prefix, self.cut, diverged=False, guard=guard).data
+        if len(rows) == len(configurations):
+            return logits
+        stack = stack.copy()
+        stack[live] = logits
+        return stack
 
     def run_segments(
         self,
@@ -295,16 +323,12 @@ class BatchedNetworkEvaluator:
         data = state.data
         image_shape = data.shape[1:] if state.diverged else data.shape
         kk, ii, jj, out_h, out_w = im2col_indices(image_shape, size, size, stride, padding)
-        pad_spatial = ((padding, padding), (padding, padding))
         w_mat = weights.reshape(k, module.out_channels, -1)
+        padded = zero_pad2d(data, padding)
         if state.diverged:
-            padded = (
-                np.pad(data, ((0, 0), (0, 0), (0, 0)) + pad_spatial) if padding else data
-            )
             cols = padded[:, :, kk, ii, jj]  # (k, B, C*kh*kw, P)
             out = np.einsum("kof,kbfp->kbop", w_mat, cols, optimize=True)
         else:
-            padded = np.pad(data, ((0, 0), (0, 0)) + pad_spatial) if padding else data
             cols = padded[:, kk, ii, jj]  # (B, C*kh*kw, P) — one gather for all k
             out = np.einsum("kof,bfp->kbop", w_mat, cols, optimize=True)
         if module.bias is not None:

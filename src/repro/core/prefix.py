@@ -100,6 +100,13 @@ def run_chain(steps: list[ChainStep], x: Tensor, start: int = 0) -> Tensor:
     return x
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A non-writeable view of ``array``; the array itself keeps its flags."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class GoldenTrace:
     """Golden logits of one model on one evaluation batch, plus its chain.
 
@@ -111,6 +118,10 @@ class GoldenTrace:
     trace. Callers must not mutate the model's parameters between building
     the trace and reading it (the standard path's apply-and-restore is
     fine: it restores the parameters bit-exactly).
+
+    The logits and every stored activation are read-only views: the
+    segment engine hands them out as golden rows and prefixes, so an
+    in-place write raises instead of corrupting every later golden row.
     """
 
     def __init__(self, model: Module, inputs: np.ndarray) -> None:
@@ -118,7 +129,7 @@ class GoldenTrace:
         self.inputs = np.asarray(inputs, dtype=np.float32)
         with no_grad():
             #: fault-free logits on ``inputs``
-            self.logits = model(Tensor(self.inputs)).data
+            self.logits = _read_only(model(Tensor(self.inputs)).data)
         self._chain: tuple[list[ChainStep], list[np.ndarray]] | Exception | None = None
 
     def matches(self, model: Module, inputs: np.ndarray) -> bool:
@@ -154,7 +165,7 @@ class GoldenTrace:
         x = Tensor(self.inputs)
         with no_grad(), np.errstate(all="ignore"):
             for step in steps:
-                activations.append(x.data)
+                activations.append(_read_only(x.data))
                 x = step(x)
         if not np.array_equal(x.data.view(np.uint8), self.logits.view(np.uint8)):
             raise ValueError("forward chain is not bit-identical to model forward")

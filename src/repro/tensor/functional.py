@@ -34,6 +34,7 @@ import numpy as np
 from repro.tensor.tensor import Tensor
 
 __all__ = [
+    "zero_pad2d",
     "pad2d",
     "conv2d",
     "max_pool2d",
@@ -92,12 +93,28 @@ def im2col_indices(
     return k, i, j, out_h, out_w
 
 
+def zero_pad2d(data: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the last two axes of ``data`` by ``padding`` on every side.
+
+    Writes the same bytes as ``np.pad`` with its default constant mode
+    (the interior is copied bit-for-bit, NaN payloads and ``-0.0``
+    included), at a fraction of its per-call overhead: one ``np.zeros`` of
+    the padded shape and one slice assignment. ``padding == 0`` returns
+    ``data`` itself.
+    """
+    if padding == 0:
+        return data
+    *lead, height, width = data.shape
+    out = np.zeros((*lead, height + 2 * padding, width + 2 * padding), dtype=data.dtype)
+    out[..., padding:-padding, padding:-padding] = data
+    return out
+
+
 def pad2d(x: Tensor, padding: int) -> Tensor:
     """Zero-pad the last two (spatial) axes of an NCHW tensor."""
     if padding == 0:
         return x
-    pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    out_data = np.pad(x.data, pad_width)
+    out_data = zero_pad2d(x.data, padding)
 
     def _backward(grad: np.ndarray) -> None:
         x._accumulate(grad[:, :, padding:-padding, padding:-padding])
@@ -116,7 +133,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     if in_c != w_in_c:
         raise ValueError(f"input has {in_c} channels but weight expects {w_in_c}")
 
-    x_padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    x_padded = zero_pad2d(x.data, padding)
     k, i, j, out_h, out_w = im2col_indices(x.shape, kh, kw, stride, padding)
 
     # cols: (batch, C*kh*kw, out_h*out_w), a transposed view of one

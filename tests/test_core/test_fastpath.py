@@ -4,13 +4,16 @@ One differential oracle: every row of
 :meth:`BatchedNetworkEvaluator.evaluate_logits`, and every value of the
 single-configuration statistic built on it, is compared at the bit level
 against the sequential ``apply_configuration`` + ``model(x)`` reference,
-across architectures, batch sizes and flip probabilities. The remaining
+across architectures, batch sizes and flip probabilities, and across
+chunks mixing golden (fault-free) rows with live ones. The remaining
 tests pin the engine's edge cases, the fast forward-campaign executor and
 the ``fast`` knob.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BatchedNetworkEvaluator,
@@ -243,6 +246,149 @@ class TestBatchedBitIdentity:
         ]
         lenet_injector._engine().evaluate_logits(configurations)
         assert_untouched(lenet_injector, golden)
+
+
+#: faulted layers per architecture; the ResNet's mid-network conv puts the
+#: cut deep in the chain, and its ``fc`` lets a flipped exponent reach the logits
+GOLDEN_ROW_LAYERS = {"mlp": None, "lenet": None, "resnet": ("stages.2.0.conv1", "fc")}
+
+
+@pytest.fixture(scope="module")
+def golden_row_injectors(lenet_setup, trained_mlp, moons_eval, tiny_resnet, tiny_images):
+    """One parameter-surface injector per architecture, shared by hypothesis examples."""
+    setups = {
+        "mlp": (trained_mlp, *moons_eval),
+        "lenet": lenet_setup,
+        "resnet": (tiny_resnet, *tiny_images),
+    }
+    injectors = {}
+    for arch, (model, x, y) in setups.items():
+        spec = TargetSpec.weights_and_biases(include_layers=GOLDEN_ROW_LAYERS[arch])
+        injectors[arch] = BayesianFaultInjector(model, x, y, spec=spec, seed=3)
+    return injectors
+
+
+def exponent_row(targets):
+    """Every exponent bit of the last target's first element set: a hazard row."""
+    masks = {name: np.zeros(param.shape, dtype=np.uint32) for name, param in targets}
+    name, param = targets[-1]
+    bits = param.data.reshape(-1).view(np.uint32)
+    masks[name].reshape(-1)[0] = ~bits[0] & np.uint32(0x7F800000)
+    return FaultConfiguration(masks)
+
+
+ROW_KINDS = ("live", "hazard", "empty", "dense-zero", "no-targets")
+
+
+def pattern_rows(injector, kinds, rng):
+    """One configuration per drawn row kind; every ``live`` row flips a bit."""
+    targets = injector.parameter_targets
+    rows = []
+    for kind in kinds:
+        if kind == "live":
+            configuration = FaultConfiguration.empty(targets)
+            while configuration.is_empty():
+                configuration = FaultConfiguration.sample(targets, BernoulliBitFlipModel(1e-3), rng)
+        elif kind == "hazard":
+            configuration = exponent_row(targets)
+        elif kind == "empty":
+            configuration = FaultConfiguration.empty(targets)
+        elif kind == "dense-zero":
+            configuration = FaultConfiguration(
+                {name: np.zeros(param.shape, dtype=np.uint32) for name, param in targets}
+            )
+        else:  # a row without any target
+            configuration = FaultConfiguration({})
+        rows.append(configuration)
+    return rows
+
+
+
+class TestGoldenRows:
+    """Fault-free rows come from the golden trace; only live rows run segments."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        arch=st.sampled_from(sorted(GOLDEN_ROW_LAYERS)),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mixed_chunks_match_sequential_and_standard_counters(
+        self, golden_row_injectors, arch, kinds, seed
+    ):
+        injector = golden_row_injectors[arch]
+        rng = np.random.default_rng(seed)
+        configurations = pattern_rows(injector, kinds, rng)
+        assert [c.is_empty() for c in configurations] == [k not in ("live", "hazard") for k in kinds]
+
+        fast_guard, standard_guard = NumericalHazardGuard(), NumericalHazardGuard()
+        logits = injector._engine().evaluate_logits(configurations, guard=fast_guard)
+        assert logits.shape[0] == len(configurations)
+        for i, configuration in enumerate(configurations):
+            reference = sequential_logits(injector, configuration)
+            assert logits[i].dtype == reference.dtype
+            assert np.array_equal(as_bits(logits[i]), as_bits(reference)), (kinds, i)
+
+        values = fast_guard.score_rows(logits, injector.labels)
+        statistic = injector.make_statistic(None, rng, guard=standard_guard, fast=False)
+        expected = np.array([statistic(configuration) for configuration in configurations])
+        assert np.array_equal(as_bits(values), as_bits(expected))
+        fast_report, standard_report = fast_guard.report(), standard_guard.report()
+        counters = ("evaluations", "rows", "hazard_rows", "hazard_evaluations")
+        assert [getattr(fast_report, c) for c in counters] == [
+            getattr(standard_report, c) for c in counters
+        ]
+        if "hazard" in kinds:
+            assert standard_report.hazard_rows > 0, "exponent row failed to trigger a hazard"
+
+    @pytest.fixture()
+    def segment_calls(self, lenet_injector, monkeypatch):
+        """The configuration lists :meth:`run_segments` receives."""
+        engine = lenet_injector._engine()
+        calls = []
+        run_segments = engine.run_segments
+
+        def spy(configurations, *args, **kwargs):
+            calls.append(list(configurations))
+            return run_segments(configurations, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_segments", spy)
+        return calls
+
+    def test_only_live_rows_run_segments(self, lenet_injector, segment_calls, rng):
+        kinds = ["empty", "live", "no-targets", "hazard", "live", "dense-zero"]
+        configurations = pattern_rows(lenet_injector, kinds, rng)
+        assert_bit_identical(lenet_injector._engine(), lenet_injector, configurations)
+        live = [c for c, kind in zip(configurations, kinds) if kind in ("live", "hazard")]
+        assert len(segment_calls) == 1
+        assert [id(c) for c in segment_calls[0]] == [id(c) for c in live]
+
+    def test_all_golden_chunk_runs_no_segment(self, lenet_injector, segment_calls):
+        targets = lenet_injector.parameter_targets
+        configurations = [FaultConfiguration.empty(targets), FaultConfiguration({})]
+        logits = lenet_injector._engine().evaluate_logits(configurations)
+        assert segment_calls == []
+        assert logits.shape == (2,) + lenet_injector.trace.logits.shape
+        for row in logits:
+            assert np.array_equal(as_bits(row), as_bits(lenet_injector.trace.logits))
+        with pytest.raises(ValueError, match="read-only"):
+            logits[0, 0, 0] = 0.0
+
+    def test_golden_trace_is_read_only(self, lenet_setup):
+        model, x, y = lenet_setup
+        inputs = x.copy()
+        trace = GoldenTrace(model, inputs)
+        _, activations = trace.chain()
+        for array in (trace.logits, *activations):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
+        assert inputs.flags.writeable  # the views are frozen, the caller's array is not
+        injector = BayesianFaultInjector(
+            model, x, y, spec=TargetSpec.single_layer("classifier.3"), trace=trace
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            injector._engine().prefix[...] = 0.0
 
 
 def per_row_stack(configurations, name, golden):

@@ -168,6 +168,29 @@ class TestLayerwiseSharedTrace:
             assert_same_campaign(shared.results[depth].campaign, independent)
             assert_same_campaign(shared.results[depth].campaign, standard.results[depth].campaign)
 
+    def test_layers_drawing_only_golden_rows(self, tiny_resnet, tiny_images):
+        """At small p whole layers draw no flip; their rows come from the trace."""
+        x, y = tiny_images
+        layers = tuple(parameterised_layers(tiny_resnet))
+        kwargs = dict(p=1e-5, samples=4, chains=2, layers=layers, seed=6)
+        shared = LayerwiseCampaign(tiny_resnet, x, y, **kwargs).run()
+        standard = LayerwiseCampaign(tiny_resnet, x, y, fast=False, **kwargs).run()
+        live = [
+            np.concatenate([chain.flips for chain in result.campaign.chains.chains]) > 0
+            for result in shared.results
+        ]
+        # the regime holds all-golden layers, all-live ones and mixed chunks
+        assert any(not rows.any() for rows in live)
+        assert any(rows.all() for rows in live)
+        assert any(rows.any() and not rows.all() for rows in live)
+        spec = ForwardSpec(p=1e-5, samples=4, chains=2)
+        for depth, layer in enumerate(layers):
+            independent = BayesianFaultInjector(
+                tiny_resnet, x, y, spec=TargetSpec.single_layer(layer), seed=6 + depth
+            ).run(spec)
+            assert_same_campaign(shared.results[depth].campaign, independent)
+            assert_same_campaign(shared.results[depth].campaign, standard.results[depth].campaign)
+
 
 class TestBoundary:
     def test_map_shapes(self, trained_mlp):

@@ -14,7 +14,7 @@ from repro.tensor import (
     pad2d,
     softmax,
 )
-from repro.tensor.functional import im2col_indices
+from repro.tensor.functional import im2col_indices, zero_pad2d
 
 
 def _t(shape, seed=0):
@@ -110,6 +110,25 @@ class TestPad:
     def test_pad_zero_is_identity(self):
         x = _t((1, 1, 3, 3), 9)
         assert pad2d(x, 0) is x
+
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (3, 2, 3, 4, 4)], ids=["nchw", "stacked"])
+    def test_zero_pad_matches_np_pad_bitwise(self, shape, padding, dtype, uint):
+        data = np.random.default_rng(11).normal(size=shape).astype(dtype)
+        bits = data.reshape(-1).view(uint)
+        bits[0] = np.asarray(-0.0, dtype=dtype).view(uint)
+        # quiet and signalling NaNs with distinct payloads, both signs
+        exponent = np.asarray(np.inf, dtype=dtype).view(uint)
+        sign = np.asarray(-0.0, dtype=dtype).view(uint)
+        bits[1] = exponent | uint(1)
+        bits[2] = sign | exponent | uint(0b1011)
+        bits[3] = np.asarray(np.nan, dtype=dtype).view(uint) | uint(7)
+        spatial = ((0, 0),) * (data.ndim - 2) + ((padding, padding),) * 2
+        expected = np.pad(data, spatial)
+        out = zero_pad2d(data, padding)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert np.array_equal(out.view(uint), expected.view(uint))
 
 
 class TestSoftmax:
