@@ -22,8 +22,6 @@ subpackage    role
 ``utils``     deterministic RNG streams, logging, timing
 ``sensitivity`` gradient (Taylor) fault-impact prediction & bit search
 ``protect``   selective ECC-style protection schemes and allocation
-``programs``  fault-injectable differentiable non-NN programs
-``quant``     int8 storage + code-space fault model
 ``moments``   analytic (ADF) propagation of fault distributions
 ``cli``       ``python -m repro`` train/campaign/sweep/assess commands
 ============  =========================================================

@@ -61,14 +61,12 @@ class FaultConfiguration:
     ) -> "FaultConfiguration":
         """Draw one mask per target from ``fault_model``, in sparse form.
 
-        Uses :meth:`FaultModel.sample_sparse_for` (RNG-identical to the
-        dense :meth:`FaultModel.sample_mask_for`) so value-dependent models
-        (quantised representations, stuck-at variants) can derive the
-        equivalent float32 XOR mask from the stored parameter values.
+        Targets are drawn in order with :meth:`FaultModel.sample_sparse`,
+        which is RNG-identical to the dense :meth:`FaultModel.sample_mask`.
         """
         return cls(
             {
-                name: fault_model.for_target(name).sample_sparse_for(param.data, rng)
+                name: fault_model.for_target(name).sample_sparse(param.data.shape, rng)
                 for name, param in targets
             }
         )

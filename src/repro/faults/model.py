@@ -33,34 +33,22 @@ class FaultModel:
     def sample_mask(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Draw a uint32 XOR mask of ``shape``.
 
-        Mask-based models must implement this; value-dependent models may
-        raise and implement :meth:`sample_mask_for` / :meth:`corrupt` instead.
+        Mask-based models must implement this; value-dependent models
+        (stuck-at) raise and override :meth:`corrupt` instead.
         """
         raise NotImplementedError
 
-    def sample_mask_for(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Draw a mask given the *stored values* being corrupted.
+    def sample_sparse(self, shape: tuple[int, ...], rng: np.random.Generator):
+        """Draw a mask of ``shape`` as a :class:`~repro.faults.sparse.SparseMask`.
 
-        For value-independent models this is just ``sample_mask(shape)``.
-        Value-dependent models (e.g. faults in a quantised representation,
-        :class:`repro.quant.QuantizedBitFlipModel`) override it: any
-        corruption of stored values ``w → w'`` has an equivalent float32
-        XOR mask ``bits(w) ⊕ bits(w')``, which keeps the whole campaign
-        machinery (configuration algebra, apply/restore contexts) working.
-        """
-        return self.sample_mask(np.asarray(values).shape, rng)
-
-    def sample_sparse_for(self, values: np.ndarray, rng: np.random.Generator):
-        """Draw a corruption of ``values`` as a :class:`~repro.faults.sparse.SparseMask`.
-
-        Consumes exactly the same RNG draws as :meth:`sample_mask_for` and
+        Consumes exactly the same RNG draws as :meth:`sample_mask` and
         denotes the same mask. The base implementation densifies then
         converts; sparse-native models (Bernoulli) override it to stay O(K)
         in the number of flipped bits.
         """
         from repro.faults.sparse import SparseMask
 
-        return SparseMask.from_dense(self.sample_mask_for(values, rng))
+        return SparseMask.from_dense(self.sample_mask(shape, rng))
 
     def log_prob_sparse(self, sparse) -> float:
         """Log-probability of a :class:`~repro.faults.sparse.SparseMask` draw.
@@ -72,8 +60,7 @@ class FaultModel:
 
     def corrupt(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Return a corrupted copy of ``values`` (float32)."""
-        mask = self.sample_mask_for(np.asarray(values, dtype=np.float32), rng)
-        return apply_bit_mask(values, mask)
+        return apply_bit_mask(values, self.sample_mask(np.shape(values), rng))
 
     def log_prob_mask(self, mask: np.ndarray) -> float:
         """Log-probability of drawing ``mask`` (for models that define it).

@@ -185,8 +185,7 @@ class Profiler:
     fleet.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.ops: dict[str, OpStats] = {}
         self.layers: dict[str, LayerStats] = {}
@@ -286,9 +285,6 @@ class Profiler:
         >>> sorted(profiler.phases)
         ['campaign', 'campaign/forward.eval']
         """
-        if not self.enabled:
-            yield
-            return
         parent = self._phase_stack[-1].path if self._phase_stack else None
         path = f"{parent}/{name}" if parent else name
         frame = _Frame(name=name, path=path, started=clock_s())
@@ -473,7 +469,7 @@ class Profiler:
 
     def __repr__(self) -> str:
         return (
-            f"Profiler(enabled={self.enabled}, ops={len(self.ops)}, "
+            f"Profiler(ops={len(self.ops)}, "
             f"layers={len(self.layers)}, phases={len(self.phases)})"
         )
 

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.faults import BernoulliBitFlipModel, FaultConfiguration, TargetSpec, resolve_parameter_targets
+from repro.faults import (
+    BernoulliBitFlipModel,
+    BurstBitFlipModel,
+    ByteErrorModel,
+    FaultConfiguration,
+    HeterogeneousBitFlipModel,
+    SingleBitFlipModel,
+    StuckAtModel,
+    TargetSpec,
+    resolve_parameter_targets,
+)
 from repro.nn import paper_mlp
+from repro.protect import ProtectedFaultModel, ProtectionScheme
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +38,41 @@ class TestConstruction:
     def test_wrong_dtype_rejected(self):
         with pytest.raises(TypeError):
             FaultConfiguration({"w": np.zeros(3, dtype=np.int64)})
+
+
+SAMPLED_MODELS = {
+    "bernoulli": BernoulliBitFlipModel(0.05),
+    "bernoulli-lanes": BernoulliBitFlipModel(0.1, bits=(23, 24, 30)),
+    "heterogeneous": HeterogeneousBitFlipModel(np.linspace(0.0, 0.2, 32)),
+    "burst": BurstBitFlipModel(0.2, burst_length=3),
+    "single": SingleBitFlipModel(),
+    "byte": ByteErrorModel(),
+    "protected": ProtectedFaultModel(
+        BernoulliBitFlipModel(0.1),
+        ProtectionScheme({"layers.0.weight": frozenset(range(23, 31)), "layers.2.bias": frozenset({31})}),
+    ),
+}
+
+
+class TestSampling:
+    """``sample`` is the dense per-target draw, in target order, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_MODELS))
+    def test_sample_matches_dense_draws_in_target_order(self, targets, name):
+        model = SAMPLED_MODELS[name]
+        cfg = FaultConfiguration.sample(targets, model, np.random.default_rng(7))
+        clone = np.random.default_rng(7)
+        for target, param in targets:
+            expected = model.for_target(target).sample_mask(param.shape, clone)
+            got = cfg.mask(target)
+            assert got.dtype == np.uint32
+            assert got.shape == expected.shape
+            np.testing.assert_array_equal(got, expected)
+        assert cfg.total_flips() > 0
+
+    def test_value_dependent_model_cannot_be_sampled(self, targets, rng):
+        with pytest.raises(NotImplementedError):
+            FaultConfiguration.sample(targets, StuckAtModel(1), rng)
 
 
 class TestAlgebra:

@@ -31,7 +31,6 @@ def test_expected_examples_present():
         "resnet_layerwise",
         "completeness",
         "baseline_comparison",
-        "control_loop",
         "error_propagation",
         "assessment",
     } <= names

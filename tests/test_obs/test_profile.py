@@ -182,12 +182,6 @@ class TestPhases:
         with obs.phase("anything"):
             pass  # must not raise, must not create a profiler
 
-    def test_disabled_profiler_phase_records_nothing(self):
-        profiler = Profiler(enabled=False)
-        with profiler.phase("x"):
-            pass
-        assert not profiler.phases
-
 
 class TestReduction:
     def _populated(self) -> Profiler:
