@@ -12,7 +12,10 @@ Usage (after ``pip install -e .``):
 
 ``--workers N`` (campaign/sweep/layerwise) fans the independent campaigns
 out over N worker processes; results are bit-identical to ``--workers 1``
-because every campaign draws only named, seed-derived RNG streams.
+because every campaign draws only named, seed-derived RNG streams. Every
+pool width runs through the same campaign executor (in-process at
+``--workers 1``), so journaling, telemetry and the ``executor:`` summary
+line are the same too.
 
 ``--journal PATH`` (campaign/sweep/layerwise) records every completed
 campaign to a crash-safe, fsync'd journal; after a crash, re-running the
@@ -84,7 +87,7 @@ from repro.faults import BernoulliBitFlipModel, TargetSpec
 from repro.nn import LeNet, MLP, paper_mlp
 from repro.nn.models import resnet18_cifar_small
 from repro.nn.module import Module
-from repro.obs.estimator import DEFAULT_MASS, StoppingTarget, publish_outcome
+from repro.obs.estimator import DEFAULT_MASS, StoppingTarget
 from repro.obs.flight import FlightRecorder
 from repro.train import Adam, Trainer, load_checkpoint, save_checkpoint
 from repro.utils.persist import atomic_write_json
@@ -276,14 +279,6 @@ def _resilient_executor(recipe, args, journal) -> ParallelCampaignExecutor:
     )
 
 
-def _needs_executor(args) -> bool:
-    """Whether the resilience flags demand the executor path at workers=1."""
-    return (
-        getattr(args, "chaos", None) is not None
-        or getattr(args, "on_failure", "abort") != "abort"
-    )
-
-
 def _add_fast(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fast", action=argparse.BooleanOptionalAction, default=None,
@@ -444,11 +439,6 @@ def _print_session_reports(session: obs.Session) -> None:
             print(f"postmortem bundle written to {path}", file=sys.stderr)
 
 
-def _print_executor_summary(executor) -> None:
-    if executor is not None:
-        print(f"executor: {executor.stats.summary()}")
-
-
 def _validate_journal_path(path: str) -> None:
     """Fail fast on an unusable --journal path, before any campaign work.
 
@@ -505,7 +495,7 @@ def _open_journal(args, specs) -> "contextlib.AbstractContextManager[CampaignJou
         raise SystemExit(str(exc)) from exc
 
 
-def _print_journal_status(journal, executor=None) -> None:
+def _print_journal_status(journal) -> None:
     """The journal's tally (a closed journal still knows its entries)."""
     if journal is None:
         return
@@ -558,20 +548,13 @@ def _cmd_campaign(args) -> int:
     print(f"golden error: {injector.golden_error:.2%}")
     spec = _campaign_spec_from_args(args)
     with _open_journal(args, [spec]) as journal:
-        executor = None
-        if args.workers > 1 or journal is not None or _needs_executor(args):
-            # the executor path journals completed tasks even at workers=1
-            executor = _resilient_executor(recipe, args, journal)
-            campaign = executor.run([spec])[0]
-        else:
-            campaign = injector.run(spec)
-            publish_outcome(0, campaign, spec=spec, target=injector.spec)
+        executor = _resilient_executor(recipe, args, journal)
+        campaign = executor.run([spec])[0]
     if campaign is None:  # quarantined under --on-failure degrade
-        failure = executor.stats.failed_tasks[0] if executor.stats.failed_tasks else None
-        reason = failure.reason if failure else "task failed"
+        reason = executor.stats.failed_tasks[0].reason
         print(f"campaign FAILED ({reason}); no result (ran with --on-failure degrade)")
-        _print_journal_status(journal, executor)
-        _print_executor_summary(executor)
+        _print_journal_status(journal)
+        print(f"executor: {executor.stats.summary()}")
         return 1
     if isinstance(campaign, tuple):  # tempered: (result, weighted error)
         campaign, weighted = campaign
@@ -580,8 +563,8 @@ def _cmd_campaign(args) -> int:
     print(format_table([campaign.summary_row()]))
     if campaign.completeness is not None:
         print(campaign.completeness)
-    _print_journal_status(journal, executor)
-    _print_executor_summary(executor)
+    _print_journal_status(journal)
+    print(f"executor: {executor.stats.summary()}")
     return 0
 
 
@@ -591,14 +574,12 @@ def _cmd_sweep(args) -> int:
     p_values = tuple(np.logspace(np.log10(args.p_min), np.log10(args.p_max), args.points))
     base_spec = ForwardSpec(p=float(p_values[0]), samples=args.samples, chains=args.chains)
     with _open_journal(args, [base_spec.with_p(float(p)) for p in p_values]) as journal:
-        executor = None
-        if args.workers > 1 or _needs_executor(args):
-            executor = _resilient_executor(recipe, args, journal)
         sweep = ProbabilitySweep(
-            injector, p_values=p_values, spec=base_spec, executor=executor, journal=journal
+            injector, p_values=p_values, spec=base_spec,
+            executor=_resilient_executor(recipe, args, journal),
         ).run()
-    _print_journal_status(journal, executor)
-    _print_executor_summary(executor)
+    _print_journal_status(journal)
+    print(f"executor: {sweep.executor.stats.summary()}")
     if sweep.degraded:
         accounting = sweep.accounting()
         print(f"DEGRADED result: {accounting['completed']}/{accounting['points']} "
@@ -631,18 +612,15 @@ def _cmd_layerwise(args) -> int:
     features, labels = evaluation.arrays()
     spec = ForwardSpec(p=args.p, samples=args.samples, chains=1)
     with _open_journal(args, [spec]) as journal:
-        executor = None
-        if args.workers > 1 or _needs_executor(args):
-            executor = _resilient_executor(None, args, journal)
         campaign = LayerwiseCampaign(
             model, features[: args.eval_size], labels[: args.eval_size],
             p=args.p, samples=args.samples, chains=1, seed=args.seed,
-            executor=executor, journal=journal,
+            executor=_resilient_executor(None, args, journal),
             model_builder=functools.partial(build_workbench_model, args.workbench),
             fast=getattr(args, "fast", None),
         ).run()
-    _print_journal_status(journal, executor)
-    _print_executor_summary(executor)
+    _print_journal_status(journal)
+    print(f"executor: {campaign.executor.stats.summary()}")
     if campaign.degraded:
         accounting = campaign.accounting()
         print(f"DEGRADED result: {accounting['completed']}/{accounting['layers']} "

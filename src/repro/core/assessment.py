@@ -5,7 +5,10 @@
 the knee, gradient lane profile, per-layer vulnerability — and returns a
 :class:`ResilienceAssessment` that renders as a markdown report. This is
 the "what a downstream user actually wants" entry point: one function from
-trained model to reliability engineering numbers.
+trained model to reliability engineering numbers. Its sweep and layerwise
+campaigns run through one
+:class:`~repro.exec.executor.ParallelCampaignExecutor`, in-process at the
+default ``workers=1``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.core.knee import TwoRegimeFit
 from repro.core.layerwise import LayerwiseCampaign, parameterised_layers
 from repro.core.outcomes import OutcomeCampaign
 from repro.core.sweep import ProbabilitySweep
+from repro.exec.executor import InjectorRecipe, ParallelCampaignExecutor
 from repro.faults.targets import TargetSpec
 from repro.nn.module import Module
 from repro.sensitivity.taylor import TaylorSensitivity
@@ -124,23 +128,19 @@ def assess_model(
     pass a custom grid for networks whose knee lies elsewhere (knee
     position scales roughly as 1/#parameters — see EXPERIMENTS.md E4).
 
-    ``workers > 1`` fans the sweep and layerwise campaigns out over a
-    :class:`~repro.exec.executor.ParallelCampaignExecutor` — results are
-    bit-identical to the sequential battery. ``model_builder`` (a picklable
-    zero-argument architecture constructor) switches worker transport from
+    The sweep and layerwise campaigns run through one
+    :class:`~repro.exec.executor.ParallelCampaignExecutor` of ``workers``
+    processes (in-process at ``workers=1``); results are bit-identical at
+    every pool width. ``model_builder`` (a picklable zero-argument
+    architecture constructor) switches worker transport from
     embedded-model to builder + golden checkpoint.
     """
     spec = spec or TargetSpec.weights_and_biases()
     injector = BayesianFaultInjector(model, inputs, labels, spec=spec, seed=seed)
-
-    executor = None
-    if workers > 1:
-        from repro.exec.executor import InjectorRecipe, ParallelCampaignExecutor
-
-        recipe = InjectorRecipe.from_model(
-            model, inputs, labels, spec=spec, seed=seed, model_builder=model_builder
-        )
-        executor = ParallelCampaignExecutor(recipe, workers=workers)
+    recipe = InjectorRecipe.from_model(
+        model, inputs, labels, spec=spec, seed=seed, model_builder=model_builder
+    )
+    executor = ParallelCampaignExecutor(recipe, workers=workers)
 
     sweep = ProbabilitySweep(
         injector,

@@ -9,11 +9,15 @@ to Li et al. (SC'17).
 layer (same flip probability, same budget) and reports the per-layer error
 series plus the Spearman/Kendall rank correlations between layer depth and
 induced error — the quantitative version of F3 (|ρ| near 0, p-value large).
+
+Layer campaigns run through a
+:class:`~repro.exec.executor.ParallelCampaignExecutor` at every pool width,
+one recipe per layer over one shared golden-state snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -21,13 +25,10 @@ from scipy import stats as sps
 
 import repro.obs as obs
 from repro.core.campaign import CampaignResult
-from repro.core.injector import BayesianFaultInjector
-from repro.core.prefix import GoldenTrace
 from repro.exec.executor import CampaignTask, InjectorRecipe, ParallelCampaignExecutor
 from repro.exec.specs import ForwardSpec
 from repro.faults.targets import TargetSpec, resolve_parameter_targets
 from repro.nn.module import Module
-from repro.obs.estimator import publish_outcome
 from repro.utils.logging import get_logger
 
 __all__ = ["LayerResult", "LayerwiseCampaign", "parameterised_layers"]
@@ -70,27 +71,23 @@ class LayerwiseCampaign:
     seed:
         Root seed; layer campaigns get independent derived streams.
     executor:
-        Optional :class:`~repro.exec.executor.ParallelCampaignExecutor`;
-        layers fan out over its worker pool (one recipe per layer, each
-        with the layer's target spec and derived seed). Per-layer seeds
-        make parallel results bit-identical to sequential ones.
+        The :class:`~repro.exec.executor.ParallelCampaignExecutor` the
+        layers run through (one recipe per layer, each with the layer's
+        target spec and derived seed); defaults to an in-process
+        ``workers=1`` executor. Per-layer seeds make results bit-identical
+        at every pool width. Attach a
+        :class:`~repro.exec.journal.CampaignJournal` to the executor to
+        record layer campaigns durably; re-running skips journaled layers
+        bit-identically.
     model_builder:
         Picklable zero-argument architecture builder used to ship the
         golden model to workers as builder + checkpoint; without it the
         model object is embedded in each recipe (fork-friendly).
-    journal:
-        Optional :class:`~repro.exec.journal.CampaignJournal`. Completed
-        layer campaigns are durably recorded; re-running skips journaled
-        layers bit-identically (per-layer keys include the layer's target
-        spec and derived seed).
     fast:
         Segment-engine selection forwarded to every per-layer injector
         (``None`` uses the bit-identical engine when supported — layerwise
         campaigns are its best case, since deep layers reuse long clean
-        prefixes; ``False`` forces the standard path). In-process runs
-        hand every layer's injector one shared
-        :class:`~repro.core.prefix.GoldenTrace`, so the clean forward and
-        the chain verification run once per campaign, not once per layer.
+        prefixes; ``False`` forces the standard path).
     """
 
     model: Module
@@ -101,9 +98,10 @@ class LayerwiseCampaign:
     chains: int = 2
     layers: tuple[str, ...] = ()
     seed: int = 0
-    executor: ParallelCampaignExecutor | None = None
+    executor: ParallelCampaignExecutor = field(
+        default_factory=lambda: ParallelCampaignExecutor(workers=1)
+    )
     model_builder: Callable[[], Module] | None = None
-    journal: object | None = None
     fast: bool | None = None
     results: list[LayerResult] = field(default_factory=list)
     #: layers whose campaign failed under ``on_failure="degrade"``
@@ -123,56 +121,17 @@ class LayerwiseCampaign:
 
     def _campaigns(self) -> list[CampaignResult]:
         spec = ForwardSpec(p=self.p, samples=self.samples, chains=self.chains)
-        if self.executor is not None:
-            if self.journal is not None:
-                self.executor.journal = self.journal
-            tasks = [
-                CampaignTask(
-                    spec,
-                    InjectorRecipe.from_model(
-                        self.model,
-                        self.inputs,
-                        self.labels,
-                        spec=self._layer_spec(layer),
-                        seed=self.seed + depth,
-                        model_builder=self.model_builder,
-                        fast=self.fast,
-                    ),
-                )
-                for depth, layer in enumerate(self.layers)
-            ]
-            return self.executor.execute(tasks)
-        campaigns = []
-        trace = None  # built on the first layer not served from the journal
-        for depth, layer in enumerate(self.layers):
-            key = None
-            if self.journal is not None:
-                # Same key shape as the executor path: per-layer derived
-                # seed plus the layer's target-spec scope.
-                from repro.exec.journal import target_fingerprint, task_key
-
-                key = task_key(
-                    spec, seed=self.seed + depth, scope=target_fingerprint(self._layer_spec(layer))
-                )
-                cached = self.journal.get(key)
-                if cached is not None:
-                    _LOGGER.info("journal hit for layer %s; skipping re-run", layer)
-                    obs.merge_campaign_metrics(cached)
-                    publish_outcome(depth, cached, spec=spec, target=self._layer_spec(layer))
-                    campaigns.append(cached)
-                    continue
-            if trace is None:
-                trace = GoldenTrace(self.model, self.inputs)
-            injector = BayesianFaultInjector(
-                self.model, self.inputs, self.labels,
-                spec=self._layer_spec(layer), seed=self.seed + depth, fast=self.fast, trace=trace,
+        # one golden-state snapshot shared by every layer's recipe
+        golden = InjectorRecipe.from_model(
+            self.model, self.inputs, self.labels, model_builder=self.model_builder, fast=self.fast
+        )
+        return self.executor.execute([
+            CampaignTask(
+                spec,
+                replace(golden, target_spec=self._layer_spec(layer), seed=self.seed + depth),
             )
-            outcome = injector.run(spec)
-            if self.journal is not None:
-                self.journal.record(key, outcome)
-            publish_outcome(depth, outcome, spec=spec, target=self._layer_spec(layer))
-            campaigns.append(outcome)
-        return campaigns
+            for depth, layer in enumerate(self.layers)
+        ])
 
     def run(self) -> "LayerwiseCampaign":
         self.results = []
@@ -180,18 +139,16 @@ class LayerwiseCampaign:
         obs.publish("layerwise.start", layers=len(self.layers), p=self.p)
         with obs.span("layerwise", layers=len(self.layers), p=self.p):
             campaigns = self._campaigns()
-        failures = {} if self.executor is None else {
-            failure.index: failure for failure in self.executor.stats.failed_tasks
-        }
+        failures = {failure.index: failure for failure in self.executor.stats.failed_tasks}
         for depth, (layer, campaign) in enumerate(zip(self.layers, campaigns)):
             if campaign is None:  # quarantined under on_failure="degrade"
-                failure = failures.get(depth)
+                failure = failures[depth]
                 entry = {
                     "layer": layer,
                     "depth": depth,
-                    "reason": failure.reason if failure else "task failed",
-                    "cause": failure.cause if failure else "unknown",
-                    "attempts": failure.attempts if failure else 0,
+                    "reason": failure.reason,
+                    "cause": failure.cause,
+                    "attempts": failure.attempts,
                 }
                 self.failed_layers.append(entry)
                 obs.publish("layerwise.layer_failed", **entry)

@@ -133,7 +133,8 @@ class GoldenTrace:
         self._chain: tuple[list[ChainStep], list[np.ndarray]] | Exception | None = None
 
     def matches(self, model: Module, inputs: np.ndarray) -> bool:
-        """Whether this trace was built for ``model`` (by identity) and ``inputs`` (bitwise)."""
+        """Whether this trace was built for ``model`` (by identity) and ``inputs`` (bitwise, as float32)."""
+        inputs = np.asarray(inputs, dtype=np.float32)
         return model is self.model and inputs.shape == self.inputs.shape and np.array_equal(
             np.ascontiguousarray(inputs).view(np.uint32),
             np.ascontiguousarray(self.inputs).view(np.uint32),

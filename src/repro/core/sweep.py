@@ -6,10 +6,12 @@ reference line, and the two-regime fit.
 
 Campaigns are described by a :class:`~repro.exec.specs.CampaignSpec`
 *template* whose ``p`` is rebound per grid point (or a ``p → spec``
-factory for per-point budgets). Points run sequentially through
-:meth:`BayesianFaultInjector.run`, or concurrently through a
-:class:`~repro.exec.executor.ParallelCampaignExecutor` — bit-identical
-either way, since campaigns only draw named RNG substreams.
+factory for per-point budgets). Points always run through a
+:class:`~repro.exec.executor.ParallelCampaignExecutor` — in-process at
+``workers=1`` (the default), over a worker pool otherwise — which owns
+journaling, outcome publishing and failure accounting. Results are
+bit-identical at every pool width, since campaigns only draw named RNG
+substreams.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import repro.obs as obs
 from repro.core.campaign import CampaignResult
 from repro.core.injector import BayesianFaultInjector
 from repro.core.knee import TwoRegimeFit, fit_two_regimes, truncate_saturated_tail
-from repro.exec.executor import ParallelCampaignExecutor
+from repro.exec.executor import InjectorRecipe, ParallelCampaignExecutor
 from repro.exec.specs import CampaignSpec, ForwardSpec
-from repro.obs.estimator import publish_outcome
 from repro.utils.logging import get_logger
 
 __all__ = ["SweepPoint", "ProbabilitySweep"]
@@ -65,15 +66,15 @@ class ProbabilitySweep:
         rebound per grid point — or a callable ``p → spec``. Defaults to
         :class:`~repro.exec.specs.ForwardSpec` with the budget above.
     executor:
-        Optional :class:`~repro.exec.executor.ParallelCampaignExecutor`; when
-        given (with ``workers > 1``) the points fan out over its worker pool,
-        using ``executor.recipe`` to rebuild the injector per worker.
-        Results are bit-identical to the sequential path.
-    journal:
-        Optional :class:`~repro.exec.journal.CampaignJournal`. Completed
-        points are durably recorded as they finish; re-running the sweep
-        (e.g. after a crash) skips journaled points and produces results
-        bit-identical to an uninterrupted run.
+        The :class:`~repro.exec.executor.ParallelCampaignExecutor` the points
+        run through; defaults to an in-process ``workers=1`` executor. Its
+        ``recipe`` rebuilds the injector; without one, the sweep runs a
+        recipe built from ``injector`` (same model object, inputs, seed,
+        target spec and ``fast``). Attach a
+        :class:`~repro.exec.journal.CampaignJournal` to the executor to
+        record points durably: re-running the sweep (e.g. after a crash)
+        skips journaled points, bit-identically. Results are bit-identical
+        at every pool width.
     """
 
     injector: BayesianFaultInjector
@@ -81,8 +82,9 @@ class ProbabilitySweep:
     samples: int = 200
     chains: int = 2
     spec: SpecLike | None = None
-    executor: ParallelCampaignExecutor | None = None
-    journal: object | None = None
+    executor: ParallelCampaignExecutor = field(
+        default_factory=lambda: ParallelCampaignExecutor(workers=1)
+    )
     points: list[SweepPoint] = field(default_factory=list)
     #: grid points whose campaign failed under ``on_failure="degrade"``
     #: (each ``{"p", "reason", "cause", "attempts"}``); always empty when
@@ -116,30 +118,21 @@ class ProbabilitySweep:
         specs = [self.spec_for(float(p)) for p in self.p_values]
         obs.publish("sweep.start", points=len(specs), p_min=float(self.p_values[0]),
                     p_max=float(self.p_values[-1]))
+        recipe = self.executor.recipe or InjectorRecipe.from_model(
+            self.injector.model, self.injector.inputs, self.injector.labels,
+            spec=self.injector.spec, seed=self.injector.seed, fast=self.injector.fast,
+        )
         with obs.span("sweep", points=len(specs)):
-            if self.executor is not None:
-                if self.journal is not None:
-                    self.executor.journal = self.journal
-                campaigns = self.executor.run(specs)
-            elif self.journal is not None:
-                campaigns = self._run_journaled(specs)
-            else:
-                campaigns = []
-                for index, spec in enumerate(specs):
-                    outcome = self.injector.run(spec)
-                    publish_outcome(index, outcome, spec=spec, target=self.injector.spec)
-                    campaigns.append(outcome)
-        failures = {} if self.executor is None else {
-            failure.index: failure for failure in self.executor.stats.failed_tasks
-        }
+            campaigns = self.executor.run(specs, recipe)
+        failures = {failure.index: failure for failure in self.executor.stats.failed_tasks}
         for index, (p, campaign) in enumerate(zip(self.p_values, campaigns)):
             if campaign is None:  # quarantined under on_failure="degrade"
-                failure = failures.get(index)
+                failure = failures[index]
                 entry = {
                     "p": float(p),
-                    "reason": failure.reason if failure else "task failed",
-                    "cause": failure.cause if failure else "unknown",
-                    "attempts": failure.attempts if failure else 0,
+                    "reason": failure.reason,
+                    "cause": failure.cause,
+                    "attempts": failure.attempts,
                 }
                 self.failed_points.append(entry)
                 obs.publish("sweep.point_failed", **entry)
@@ -169,35 +162,6 @@ class ProbabilitySweep:
             )
             _LOGGER.info("sweep point %s", campaign)
         return self
-
-    def _run_journaled(self, specs: list[CampaignSpec]) -> list:
-        """Sequential execution with durable per-point journaling.
-
-        Uses the same task keys as the executor path — injector seed and
-        target spec — so a sweep journaled sequentially resumes correctly
-        under a parallel executor and vice versa.
-        """
-        from repro.exec.journal import target_fingerprint, task_key
-
-        scope = target_fingerprint(self.injector.spec)
-        campaigns = []
-        for index, spec in enumerate(specs):
-            key = task_key(spec, seed=self.injector.seed, scope=scope)
-            cached = self.journal.get(key)
-            if cached is not None:
-                _LOGGER.info("journal hit for p=%g; skipping re-run", spec.p)
-                # the run that produced this digest merged in another
-                # process/session; this is its one chance to reach totals
-                # — and to feed the estimator tracker
-                obs.merge_campaign_metrics(cached)
-                publish_outcome(index, cached, spec=spec, target=self.injector.spec)
-                campaigns.append(cached)
-                continue
-            outcome = self.injector.run(spec)
-            self.journal.record(key, outcome)
-            publish_outcome(index, outcome, spec=spec, target=self.injector.spec)
-            campaigns.append(outcome)
-        return campaigns
 
     # ------------------------------------------------------------------ #
     # completeness accounting

@@ -17,8 +17,9 @@ Fault tolerance (fitting, for a fault-injection tool): each task runs in
 its own worker process with a per-task timeout; a worker that crashes or
 times out is terminated and the task retried a bounded number of attempts
 before the executor gives up. ``workers=1`` — or an environment where
-process spawning fails — degrades gracefully to in-process sequential
-execution.
+process spawning fails — runs the same tasks in-process through the same
+journal, accounting and events, sharing one golden model and one
+:class:`~repro.core.prefix.GoldenTrace` per distinct golden model.
 
 Attach a :class:`~repro.exec.journal.CampaignJournal` and execution also
 becomes *durable*: every completed task is fsync'd to the journal from the
@@ -104,9 +105,9 @@ class InjectorRecipe:
     model_builder: Callable[[], Any] | None = None
     state: Mapping[str, np.ndarray] | None = None
     model: Any | None = None
-    #: fast-path selection forwarded to the injector (None = auto-detect);
-    #: workers rebuild their own prefix caches and batched evaluators, so
-    #: the choice travels with the recipe rather than the live injector
+    #: segment-engine selection forwarded to the injector (None = auto-detect);
+    #: every rebuilt injector builds its own engine, so the choice travels
+    #: with the recipe rather than the live injector
     fast: bool | None = None
 
     def __post_init__(self) -> None:
@@ -148,18 +149,33 @@ class InjectorRecipe:
             fast=fast,
         )
 
-    def build(self):
-        """Construct the injector (golden model in eval mode + eval batch)."""
+    def golden_key(self) -> tuple:
+        """Identity of the golden model: the embedded object, or the ``(builder, state)`` pair."""
+        if self.model is not None:
+            return (id(self.model),)
+        return (id(self.model_builder), id(self.state))
+
+    def golden_model(self):
+        """The golden model: the embedded object, or a fresh build loaded with ``state``."""
+        if self.model is not None:
+            return self.model
+        model = self.model_builder()
+        if self.state is not None:
+            model.load_state_dict(dict(self.state))
+        return model
+
+    def build(self, model=None, trace=None):
+        """Construct the injector (golden model in eval mode + eval batch).
+
+        ``model`` (from :meth:`golden_model`) and ``trace`` (a
+        :class:`~repro.core.prefix.GoldenTrace` of it) let recipes over one
+        golden model share its build and its fault-free forward.
+        """
         from repro.core.injector import BayesianFaultInjector
 
-        if self.model is not None:
-            model = self.model
-        else:
-            model = self.model_builder()
-            if self.state is not None:
-                model.load_state_dict(dict(self.state))
         return BayesianFaultInjector(
-            model, self.inputs, self.labels, spec=self.target_spec, seed=self.seed, fast=self.fast
+            self.golden_model() if model is None else model, self.inputs, self.labels,
+            spec=self.target_spec, seed=self.seed, fast=self.fast, trace=trace,
         )
 
 
@@ -370,8 +386,9 @@ class ParallelCampaignExecutor:
         Default :class:`InjectorRecipe` for :meth:`run`; :meth:`execute`
         accepts per-task recipes and ignores this.
     workers:
-        Pool width. ``1`` (or an unavailable pool) runs everything
-        sequentially in-process — same results, no processes.
+        Pool width; ``None`` means ``os.cpu_count()``. ``1`` (or an
+        unavailable pool) runs every task in-process, one after the other —
+        same results, journal records, stats and events, no processes.
     timeout_s:
         Per-task wall-clock budget. A task over budget is terminated and
         counts as a failed attempt. ``None`` disables the timeout.
@@ -505,7 +522,7 @@ class ParallelCampaignExecutor:
                 ]
                 self._execute_sequential(tasks, remaining, results, keys)
             return results
-        except CampaignExecutionError:
+        except BaseException:
             aborted = True
             raise
         finally:
@@ -617,7 +634,7 @@ class ParallelCampaignExecutor:
             )
 
     # ------------------------------------------------------------------ #
-    # sequential fallback
+    # in-process execution (workers=1, or no pool)
     # ------------------------------------------------------------------ #
 
     def _execute_sequential(
@@ -627,18 +644,30 @@ class ParallelCampaignExecutor:
         results: list,
         keys: Sequence,
     ) -> None:
-        # Rebuild each distinct recipe once; sweeps share a single recipe
-        # across every point, so this costs one golden evaluation total.
+        # One injector per distinct recipe (a sweep's points share one), and
+        # one golden model and trace per distinct golden model (a layerwise
+        # run's per-layer recipes share one): the fault-free forward and the
+        # chain verification run once per golden model.
+        from repro.core.prefix import GoldenTrace
+
+        goldens: dict[tuple, tuple[Any, GoldenTrace]] = {}
         injectors: dict[int, Any] = {}
         for index in pending:
             task = tasks[index]
-            recipe_key = id(task.recipe)
+            recipe = task.recipe
             try:
-                if recipe_key not in injectors:
-                    injectors[recipe_key] = task.recipe.build()
+                if id(recipe) not in injectors:
+                    golden = recipe.golden_key()
+                    if golden not in goldens:
+                        model = recipe.golden_model()
+                        goldens[golden] = model, GoldenTrace(model, recipe.inputs)
+                    model, trace = goldens[golden]
+                    injectors[id(recipe)] = recipe.build(
+                        model, trace if trace.matches(model, recipe.inputs) else None
+                    )
                 # injector.run merges the campaign digest in-process here, so
                 # this path must not merge again (that would double-count)
-                outcome = injectors[recipe_key].run(task.spec)
+                outcome = injectors[id(recipe)].run(task.spec)
             except Exception as exc:
                 # in-process failures are deterministic: retrying cannot help
                 if self.on_failure == "abort":

@@ -575,3 +575,76 @@ class TestProfileFlag:
         assert any(name.endswith(".calls") for name in op_counters)
         assert any(name.endswith(".flops") for name in op_counters)
         assert "profile.layer.forward_s" in digest["histograms"]
+
+
+class TestOneCampaignRunner:
+    """Every pool width runs through the executor: same telemetry, same postmortems."""
+
+    def _sweep_argv(self, checkpoint, *extra):
+        return [
+            "sweep", checkpoint, "--workbench", "mlp-moons", "--seed", "2019",
+            "--points", "5", "--samples", "24", *extra,
+        ]
+
+    def test_metrics_and_event_kinds_match_across_pool_widths(
+        self, golden_checkpoint, tmp_path, capsys
+    ):
+        import json
+
+        from repro.utils.persist import read_checked_json
+
+        seen = {}
+        for workers in ("1", "2"):
+            metrics = str(tmp_path / f"metrics-{workers}.json")
+            events = str(tmp_path / f"events-{workers}.jsonl")
+            argv = self._sweep_argv(
+                golden_checkpoint, "--workers", workers, "--metrics", metrics, "--progress", events
+            )
+            assert main(argv) == 0
+            assert "executor:" in capsys.readouterr().out
+            with open(events, encoding="utf-8") as handle:
+                kinds = [json.loads(line)["kind"] for line in handle]
+            # counters are counts, never clock-derived; histograms hold the clock
+            seen[workers] = read_checked_json(metrics)["counters"], kinds
+        counters, kinds = seen["1"]
+        assert counters["executor.tasks"] == 5
+        assert kinds.count("executor.task_done") == 5 and "executor.complete" in kinds
+        assert seen["2"] == seen["1"]
+
+    def test_served_sweep_at_one_worker_reports_task_progress(
+        self, golden_checkpoint, monkeypatch, capsys
+    ):
+        from repro.obs import server as server_mod
+
+        captured = []
+        original_stop = server_mod.StatusServer.stop
+
+        def capturing_stop(self):
+            if self._httpd is not None and not captured:
+                captured.append(self.status_payload())
+            original_stop(self)
+
+        monkeypatch.setattr(server_mod.StatusServer, "stop", capturing_stop)
+        argv = self._sweep_argv(golden_checkpoint, "--workers", "1", "--serve", "127.0.0.1:0")
+        assert main(argv) == 0
+        capsys.readouterr()
+        (status,) = captured
+        assert status["tasks"]["total"] == status["tasks"]["completed"] == 5
+
+    def test_in_process_abort_writes_a_postmortem_bundle(
+        self, golden_checkpoint, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core.injector import BayesianFaultInjector
+        from repro.obs.flight import load_postmortem
+
+        def failing_run(self, spec):
+            raise RuntimeError("campaign exploded")
+
+        monkeypatch.setattr(BayesianFaultInjector, "run", failing_run)
+        argv = self._sweep_argv(golden_checkpoint, "--flight-recorder", str(tmp_path))
+        with pytest.raises(RuntimeError, match="campaign exploded"):
+            main(argv)
+        capsys.readouterr()
+        (bundle,) = [name for name in os.listdir(tmp_path) if name.startswith("postmortem-")]
+        assert bundle.endswith("-executor-abort.json")
+        assert load_postmortem(str(tmp_path / bundle))["reason"] == "executor.abort"

@@ -11,8 +11,9 @@ from repro.core import (
     ProbabilitySweep,
 )
 from repro.core.layerwise import parameterised_layers
-from repro.exec import ForwardSpec, McmcSpec, StratifiedSpec
+from repro.exec import ForwardSpec, InjectorRecipe, McmcSpec, StratifiedSpec
 from repro.faults import BernoulliBitFlipModel, TargetSpec
+from repro.nn.models import resnet18_cifar_small
 
 
 @pytest.fixture()
@@ -69,6 +70,26 @@ class TestProbabilitySweep:
             ProbabilitySweep(injector, p_values=(0.0, 0.1))
         with pytest.raises(TypeError):
             ProbabilitySweep(injector, method="exact")
+
+    def test_default_executor_runs_a_recipe_of_the_sweeps_injector(self, injector, monkeypatch):
+        built = []
+        build = InjectorRecipe.build
+
+        def spy(recipe, *args):
+            built.append(recipe)
+            return build(recipe, *args)
+
+        monkeypatch.setattr(InjectorRecipe, "build", spy)
+        sweep = ProbabilitySweep(injector, p_values=(1e-3, 1e-2, 5e-2), samples=8).run()
+        assert sweep.executor.workers == 1 and sweep.executor.stats.tasks == 3
+        (recipe,) = built  # one injector serves every point
+        assert recipe.model is injector.model and recipe.inputs is injector.inputs
+        assert (recipe.seed, recipe.target_spec, recipe.fast) == (
+            injector.seed, injector.spec, injector.fast
+        )
+        for point in sweep.points:
+            direct = injector.run(ForwardSpec(p=point.p, samples=8))
+            assert np.array_equal(point.campaign.posterior.samples, direct.posterior.samples)
 
 
 class TestLayerwise:
@@ -151,6 +172,31 @@ class TestLayerwiseSharedTrace:
         ).run()
         assert len(campaign.results) == n_layers
         assert clean_work == {"forward": 1, "chain": 1}
+
+    def test_builder_transport_builds_one_model_and_one_trace(
+        self, monkeypatch, tiny_resnet, tiny_images
+    ):
+        x, y = tiny_images
+        layers = tuple(parameterised_layers(tiny_resnet)[:6])
+        kwargs = dict(p=1e-2, samples=4, chains=1, layers=layers, seed=2)
+        embedded = LayerwiseCampaign(tiny_resnet, x, y, **kwargs).run()
+        builds, traces = [], []
+
+        def builder():
+            builds.append(1)
+            return resnet18_cifar_small(num_classes=10, rng=0)
+
+        init = GoldenTrace.__init__
+
+        def counting_init(trace, model, inputs):
+            traces.append(model)
+            init(trace, model, inputs)
+
+        monkeypatch.setattr(GoldenTrace, "__init__", counting_init)
+        shipped = LayerwiseCampaign(tiny_resnet, x, y, model_builder=builder, **kwargs).run()
+        assert len(builds) == 1 and len(traces) == 1 and traces[0] is not tiny_resnet
+        for left, right in zip(embedded.results, shipped.results, strict=True):
+            assert_same_campaign(left.campaign, right.campaign)
 
     def test_bit_identical_to_independent_injectors_and_standard_path(
         self, tiny_resnet, tiny_images

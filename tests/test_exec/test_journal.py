@@ -311,7 +311,10 @@ class TestKillAndResume:
         # full journaled run, then truncate to header + 2 entries ("crash")
         injector = BayesianFaultInjector(model, eval_x, eval_y, seed=SEED)
         journal = CampaignJournal(path, fingerprint=fingerprint)
-        ProbabilitySweep(injector, p_values=P_GRID, spec=SPEC, journal=journal).run()
+        ProbabilitySweep(
+            injector, p_values=P_GRID, spec=SPEC,
+            executor=ParallelCampaignExecutor(workers=1, journal=journal),
+        ).run()
         journal.close()
         lines = open(path).read().splitlines()
         assert len(lines) == 1 + len(P_GRID)
@@ -320,17 +323,14 @@ class TestKillAndResume:
 
         # resume with the requested worker count
         resumed_journal = CampaignJournal.resume(path, fingerprint=fingerprint)
-        executor = None
-        if workers > 1:
-            recipe = InjectorRecipe.from_model(model, eval_x, eval_y, seed=SEED)
-            executor = ParallelCampaignExecutor(recipe, workers=workers, journal=resumed_journal)
+        # at workers=1 the sweep builds its recipe from its own injector
+        recipe = InjectorRecipe.from_model(model, eval_x, eval_y, seed=SEED) if workers > 1 else None
+        executor = ParallelCampaignExecutor(recipe, workers=workers, journal=resumed_journal)
         resumed = ProbabilitySweep(
             BayesianFaultInjector(model, eval_x, eval_y, seed=SEED),
-            p_values=P_GRID, spec=SPEC,
-            executor=executor, journal=resumed_journal,
+            p_values=P_GRID, spec=SPEC, executor=executor,
         ).run()
-        if executor is not None:
-            assert executor.stats.journal_hits == 2
+        assert executor.stats.journal_hits == 2
         assert len(resumed_journal) == len(P_GRID)
         assert_bit_identical(baseline, resumed)
 
@@ -341,14 +341,19 @@ class TestKillAndResume:
 
         path = str(tmp_path / "layers.jsonl")
         journal = CampaignJournal(path)
-        LayerwiseCampaign(model, eval_x, eval_y, journal=journal, **kwargs).run()
+        LayerwiseCampaign(
+            model, eval_x, eval_y,
+            executor=ParallelCampaignExecutor(workers=1, journal=journal), **kwargs,
+        ).run()
         journal.close()
         lines = open(path).read().splitlines()
         with open(path, "w") as handle:  # keep the first layer only
             handle.write("\n".join(lines[:2]) + "\n")
 
         resumed = LayerwiseCampaign(
-            model, eval_x, eval_y, journal=CampaignJournal.resume(path), **kwargs
+            model, eval_x, eval_y,
+            executor=ParallelCampaignExecutor(workers=1, journal=CampaignJournal.resume(path)),
+            **kwargs,
         ).run()
         for a, b in zip(uninterrupted.results, resumed.results):
             assert a.layer == b.layer
@@ -356,13 +361,16 @@ class TestKillAndResume:
             assert strip_durations(a.campaign.to_dict()) == strip_durations(b.campaign.to_dict())
 
     def test_sequential_journal_resumes_under_executor(self, tmp_path, setup, baseline):
-        """Task keys are execution-mode independent: a journal written by the
-        sequential path must satisfy a parallel executor, and vice versa."""
+        """Task keys are pool-width independent: a journal written at
+        workers=1 must satisfy a workers=2 executor, and vice versa."""
         model, eval_x, eval_y = setup
         path = str(tmp_path / "cross.jsonl")
         injector = BayesianFaultInjector(model, eval_x, eval_y, seed=SEED)
         journal = CampaignJournal(path)
-        ProbabilitySweep(injector, p_values=P_GRID, spec=SPEC, journal=journal).run()
+        ProbabilitySweep(
+            injector, p_values=P_GRID, spec=SPEC,
+            executor=ParallelCampaignExecutor(workers=1, journal=journal),
+        ).run()
         journal.close()
 
         recipe = InjectorRecipe.from_model(model, eval_x, eval_y, seed=SEED)
@@ -381,7 +389,7 @@ import sys, time
 from repro.core.injector import BayesianFaultInjector
 from repro.core.sweep import ProbabilitySweep
 from repro.data import two_moons
-from repro.exec import CampaignJournal, ForwardSpec
+from repro.exec import CampaignJournal, ForwardSpec, ParallelCampaignExecutor
 from repro.nn import paper_mlp
 
 journal_path = sys.argv[1]
@@ -399,7 +407,7 @@ injector = BayesianFaultInjector(model, eval_x, eval_y, seed={seed})
 sweep = ProbabilitySweep(
     injector, p_values={p_grid!r},
     spec=ForwardSpec(p=1e-4, samples=16, chains=2),
-    journal=CampaignJournal(journal_path),
+    executor=ParallelCampaignExecutor(workers=1, journal=CampaignJournal(journal_path)),
 )
 print("child ready", flush=True)
 sweep.run()
@@ -447,7 +455,8 @@ class TestSigkillResume:
 
         injector = BayesianFaultInjector(model, eval_x, eval_y, seed=SEED)
         resumed = ProbabilitySweep(
-            injector, p_values=P_GRID, spec=SPEC, journal=journal
+            injector, p_values=P_GRID, spec=SPEC,
+            executor=ParallelCampaignExecutor(workers=1, journal=journal),
         ).run()
         assert len(journal) == len(P_GRID)
         assert_bit_identical(baseline, resumed)
@@ -499,7 +508,8 @@ class TestSigkillResume:
 
         injector = BayesianFaultInjector(model, eval_x, eval_y, seed=SEED)
         resumed = ProbabilitySweep(
-            injector, p_values=P_GRID, spec=SPEC, journal=journal
+            injector, p_values=P_GRID, spec=SPEC,
+            executor=ParallelCampaignExecutor(workers=1, journal=journal),
         ).run()
         assert len(journal) == len(P_GRID)
         assert_bit_identical(baseline, resumed)
