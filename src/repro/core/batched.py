@@ -343,9 +343,8 @@ class BatchedNetworkEvaluator:
         shape = (1, module.num_features) + (1,) * (len(module._param_shape) - 1)
         mean = module.running_mean.reshape(shape)
         var = module.running_var.reshape(shape)
-        # Mirror _BatchNorm.forward exactly, including the float64 promotion
-        # from the coerced eps scalar (0-d float64 under Tensor arithmetic).
-        normalised = (state.data - mean) / np.sqrt(var + np.asarray(module.eps))
+        # Mirror _BatchNorm.forward exactly: eps is a weak scalar in both.
+        normalised = (state.data - mean) / np.sqrt(var + module.eps)
         gammas = self._stacked_parameter(configurations, f"{name}.weight", module.weight.data)
         betas = self._stacked_parameter(configurations, f"{name}.bias", module.bias.data)
         k = len(configurations)

@@ -83,7 +83,7 @@ _LOGGER = get_logger("core")
 _FIELD_MASKS = tuple((field, field_mask(field)) for field in ("sign", "exponent", "mantissa"))
 
 #: configurations evaluated per batched sweep on the fast forward path —
-#: bounds the (chunk, batch, channels, H, W) float64 intermediates
+#: bounds the (chunk, batch, channels, H, W) float32 intermediates
 _FAST_CHUNK = 8
 
 

@@ -110,7 +110,7 @@ class _HookInjector:
     def _corrupt_tensor(self, tensor: Tensor) -> Tensor:
         data = tensor.data
         if data.dtype != np.float32:
-            data = data.astype(np.float32)
+            raise TypeError(f"bit flips act on float32 activations, got {data.dtype}")
         corrupted = self.fault_model.corrupt(data, self.rng)
         self.corruption_count += 1
         return Tensor(corrupted)

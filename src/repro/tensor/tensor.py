@@ -236,9 +236,14 @@ class Tensor:
     # arithmetic
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _coerce(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other))
+    def _coerce(self, other) -> "Tensor":
+        if isinstance(other, Tensor):
+            return other
+        if type(other) in (bool, int, float):
+            # Python scalars are weak (NEP 50): they take this tensor's dtype,
+            # so a float32 activation plus ``eps`` stays float32.
+            return Tensor(np.asarray(other, dtype=np.result_type(self.data, other)))
+        return Tensor(np.asarray(other))
 
     def __add__(self, other) -> "Tensor":
         other = self._coerce(other)

@@ -51,6 +51,7 @@ def assert_bit_identical(engine, injector, configurations):
     for i, configuration in enumerate(configurations):
         reference = sequential_logits(injector, configuration)
         assert batched[i].dtype == reference.dtype
+        assert batched[i].dtype == np.float32
         assert np.array_equal(as_bits(batched[i]), as_bits(reference)), (
             f"configuration {i} diverged from the sequential path"
         )
@@ -327,6 +328,7 @@ class TestGoldenRows:
         for i, configuration in enumerate(configurations):
             reference = sequential_logits(injector, configuration)
             assert logits[i].dtype == reference.dtype
+            assert logits[i].dtype == np.float32
             assert np.array_equal(as_bits(logits[i]), as_bits(reference)), (kinds, i)
 
         values = fast_guard.score_rows(logits, injector.labels)

@@ -106,6 +106,24 @@ class TestActivationInjection:
                 faulted = model(batch).data.copy()
         assert not np.array_equal(clean, faulted)
 
+    def test_zero_rate_resnet_run_is_bit_identical(self, tiny_resnet, tiny_images, rng):
+        x = Tensor(tiny_images[0])
+        with no_grad():
+            golden = tiny_resnet(x).data.copy()
+        modules = resolve_activation_modules(tiny_resnet, TargetSpec.all_surfaces())
+        assert len(modules) == 41
+        with ActivationInjector(modules, BernoulliBitFlipModel(0.0), rng) as injector:
+            with no_grad():
+                logits = tiny_resnet(x).data
+        assert injector.corruption_count == len(modules)
+        assert logits.dtype == golden.dtype == np.float32
+        assert np.array_equal(logits.view(np.uint32), golden.view(np.uint32))
+
+    def test_non_float32_activation_is_rejected(self, rng):
+        injector = ActivationInjector([], BernoulliBitFlipModel(0.0), rng)
+        with pytest.raises(TypeError, match="float64"):
+            injector._corrupt_tensor(Tensor(np.zeros(3, dtype=np.float64)))
+
 
 class TestInputInjection:
     def test_input_corruption_changes_output(self, model, batch, rng):

@@ -67,6 +67,45 @@ class TestBinaryGrads:
         grad_check(lambda a, b: a @ b, [_t((3, 4), 9), _t((4,), 10)], rtol=1e-3, atol=1e-6)
 
 
+class TestWeakScalars:
+    """Python scalars take the tensor's dtype (NEP 50), in both operand orders."""
+
+    @pytest.mark.parametrize(
+        "fn, grad",
+        [
+            (lambda x: x + 1.5, lambda x: np.ones_like(x)),
+            (lambda x: x - 1.5, lambda x: np.ones_like(x)),
+            (lambda x: x * 1.5, lambda x: np.full_like(x, 1.5)),
+            (lambda x: x / 1.5, lambda x: np.full_like(x, 1 / 1.5)),
+            (lambda x: 1.5 + x, lambda x: np.ones_like(x)),
+            (lambda x: 1.5 - x, lambda x: -np.ones_like(x)),
+            (lambda x: 1.5 * x, lambda x: np.full_like(x, 1.5)),
+            (lambda x: 1.5 / x, lambda x: -1.5 / (x * x)),
+        ],
+        ids=["add", "sub", "mul", "div", "radd", "rsub", "rmul", "rdiv"],
+    )
+    def test_float32_stays_float32(self, fn, grad):
+        data = np.random.default_rng(9).uniform(0.5, 2.0, size=(3, 4)).astype(np.float32)
+        x = Tensor(data, requires_grad=True)
+        out = fn(x)
+        assert out.data.dtype == np.float32
+        out.sum().backward()
+        assert x.grad.dtype == np.float32
+        np.testing.assert_allclose(x.grad, grad(data), rtol=1e-6)
+
+    def test_int_plus_python_int_stays_integer(self):
+        x = Tensor(np.arange(4, dtype=np.int32))
+        out = x + 3
+        assert out.data.dtype == np.int32
+        np.testing.assert_array_equal(out.data, np.arange(3, 7))
+
+    def test_float64_plus_python_float_stays_float64(self):
+        x = Tensor(np.linspace(0.0, 1.0, 5))
+        out = 1e-5 + x
+        assert out.data.dtype == np.float64
+        np.testing.assert_array_equal(out.data, np.linspace(0.0, 1.0, 5) + 1e-5)
+
+
 class TestReductionGrads:
     def test_sum_all_axes(self):
         grad_check(lambda x: x.sum(), [_t((2, 3), 11)], rtol=1e-3, atol=1e-6)
