@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 import repro.obs as obs
+from repro.analysis.stats import NO_CORRELATION, rank_correlation
 from repro.core.campaign import CampaignResult
 from repro.exec.executor import CampaignTask, InjectorRecipe, ParallelCampaignExecutor
 from repro.exec.specs import ForwardSpec
@@ -214,20 +214,11 @@ class LayerwiseCampaign:
         relationship"); the returned p-values quantify that.
         """
         self._require_results()
+        if len(self.results) < 3:
+            # rank_correlation needs three points; fewer layers show no relationship
+            return dict(NO_CORRELATION)
         depths = np.asarray([r.depth_index for r in self.results], dtype=np.float64)
-        errors = self.errors()
-        if np.ptp(errors) == 0.0:
-            # Constant errors: no relationship by definition (and scipy's
-            # correlation is undefined on constant input).
-            return {"spearman_rho": 0.0, "spearman_p": 1.0, "kendall_tau": 0.0, "kendall_p": 1.0}
-        spearman = sps.spearmanr(depths, errors)
-        kendall = sps.kendalltau(depths, errors)
-        return {
-            "spearman_rho": float(spearman.statistic),
-            "spearman_p": float(spearman.pvalue),
-            "kendall_tau": float(kendall.statistic),
-            "kendall_p": float(kendall.pvalue),
-        }
+        return rank_correlation(depths, self.errors())
 
     def table(self) -> list[dict[str, float | str]]:
         """Rows of the Fig. 3 series: layer, depth, error %, CI, #params."""

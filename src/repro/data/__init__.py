@@ -3,8 +3,8 @@
 The paper trains on CIFAR-10 and visualises a 2-D MLP's decision boundary.
 With no network access, this package provides:
 
-* :mod:`~repro.data.synthetic` — 2-D toy distributions (two-moons, blobs,
-  spirals, XOR) for the decision-boundary study (Fig. 1 ③);
+* :mod:`~repro.data.synthetic` — 2-D toy distributions (two-moons, blobs)
+  for the decision-boundary study (Fig. 1 ③);
 * :mod:`~repro.data.images` — a procedural, class-conditional image dataset
   standing in for CIFAR-10 (10 classes, 3×32×32 float32) with a difficulty
   knob so golden-run error can be matched to the paper's regimes;
@@ -14,10 +14,8 @@ With no network access, this package provides:
 
 from repro.data.datasets import Dataset, ArrayDataset
 from repro.data.loader import DataLoader
-from repro.data.synthetic import two_moons, gaussian_blobs, spirals, xor_clusters
+from repro.data.synthetic import two_moons, gaussian_blobs
 from repro.data.images import SyntheticImageConfig, make_synthetic_images
-from repro.data.digits import make_digit_dataset, render_digit
-from repro.data.splits import train_test_split
 
 __all__ = [
     "Dataset",
@@ -25,11 +23,6 @@ __all__ = [
     "DataLoader",
     "two_moons",
     "gaussian_blobs",
-    "spirals",
-    "xor_clusters",
     "SyntheticImageConfig",
     "make_synthetic_images",
-    "make_digit_dataset",
-    "render_digit",
-    "train_test_split",
 ]

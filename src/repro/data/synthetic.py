@@ -3,8 +3,8 @@
 These drive the decision-boundary experiment (paper Fig. 1 ③): the MLP in
 Fig. 1 takes a low-dimensional input and the figure plots log error
 probability over the input plane. Two-moons is the canonical choice for a
-curved boundary; blobs, spirals, and XOR provide boundary geometries of
-increasing complexity for extension studies.
+curved boundary; Gaussian blobs give a three-class problem with near-linear
+boundaries.
 
 All generators return ``(features, labels)`` with features float32 of shape
 ``(n, 2)`` and integer labels.
@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 
-__all__ = ["two_moons", "gaussian_blobs", "spirals", "xor_clusters"]
+__all__ = ["two_moons", "gaussian_blobs"]
 
 
 def two_moons(
@@ -59,43 +59,3 @@ def gaussian_blobs(
     labels = gen.integers(0, k, size=n)
     features = centers[labels] + gen.normal(0.0, scale, size=(n, 2))
     return features.astype(np.float32), labels.astype(np.int64)
-
-
-def spirals(
-    n: int,
-    turns: float = 1.5,
-    noise: float = 0.05,
-    rng: int | np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two interleaved Archimedean spirals; binary labels."""
-    gen = as_generator(rng)
-    n0 = n // 2
-    n1 = n - n0
-    parts = []
-    labels = []
-    for cls, count in ((0, n0), (1, n1)):
-        t = gen.uniform(0.25, 1.0, count) * turns * 2 * np.pi
-        radius = t / (turns * 2 * np.pi)
-        angle = t + cls * np.pi
-        xy = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-        xy += gen.normal(0.0, noise, size=xy.shape)
-        parts.append(xy)
-        labels.append(np.full(count, cls, dtype=np.int64))
-    features = np.concatenate(parts, axis=0)
-    labels_arr = np.concatenate(labels)
-    order = gen.permutation(n)
-    return features[order].astype(np.float32), labels_arr[order]
-
-
-def xor_clusters(
-    n: int,
-    scale: float = 0.35,
-    rng: int | np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Four Gaussian clusters in XOR arrangement; binary labels."""
-    gen = as_generator(rng)
-    corners = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-    corner_labels = np.array([0, 0, 1, 1], dtype=np.int64)
-    which = gen.integers(0, 4, size=n)
-    features = corners[which] + gen.normal(0.0, scale, size=(n, 2))
-    return features.astype(np.float32), corner_labels[which]

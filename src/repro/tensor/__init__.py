@@ -10,8 +10,6 @@ Public surface:
   computation graph and supports ``backward()``.
 * :mod:`~repro.tensor.functional` — convolution, pooling, padding, and the
   fused softmax/cross-entropy primitives used by :mod:`repro.nn`.
-* :func:`~repro.tensor.gradcheck.grad_check` — finite-difference gradient
-  verification used heavily by the test suite.
 """
 
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
@@ -24,7 +22,6 @@ from repro.tensor.functional import (
     log_softmax,
     softmax,
 )
-from repro.tensor.gradcheck import grad_check
 
 __all__ = [
     "Tensor",
@@ -37,5 +34,4 @@ __all__ = [
     "pad2d",
     "log_softmax",
     "softmax",
-    "grad_check",
 ]

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (
-    SyntheticImageConfig,
-    gaussian_blobs,
-    make_synthetic_images,
-    spirals,
-    two_moons,
-    xor_clusters,
-)
+from repro.data import SyntheticImageConfig, gaussian_blobs, make_synthetic_images, two_moons
 from repro.data.images import class_basis
 
 
@@ -49,18 +42,6 @@ class TestOtherDistributions:
         centers = np.array([[0.0, 0.0], [10.0, 10.0]])
         x, y = gaussian_blobs(500, centers=centers, scale=0.1, rng=1)
         assert np.allclose(x[y == 1].mean(axis=0), [10, 10], atol=0.2)
-
-    def test_spirals_binary(self):
-        x, y = spirals(200, rng=0)
-        assert x.shape == (200, 2)
-        assert set(np.unique(y)) == {0, 1}
-
-    def test_xor_clusters_structure(self):
-        x, y = xor_clusters(2000, scale=0.05, rng=0)
-        # Same-sign quadrants are class 0.
-        same_sign = (x[:, 0] * x[:, 1]) > 0
-        assert (y[same_sign] == 0).mean() > 0.95
-
 
 class TestSyntheticImages:
     def test_shapes_and_dtypes(self):

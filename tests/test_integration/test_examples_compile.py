@@ -1,18 +1,25 @@
 """Every example script must at least parse and compile.
 
-Full executions run minutes; compilation catches import typos, stale API
-references, and syntax errors cheaply on every test run. (The benchmark
-suite and the smoke runs in CI-style scripts execute them for real.)
+Full executions run minutes; compilation catches syntax errors cheaply on
+every test run, and importing what the scripts import catches names they
+still use after the library dropped them. (The benchmark suite and the CI
+examples step execute them for real.)
 """
 
+import ast
+import importlib.util
 import os
 import py_compile
+from pathlib import Path
 
 import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "examples")
 EXAMPLES = sorted(
     name for name in os.listdir(EXAMPLES_DIR) if name.endswith(".py")
+)
+SCRIPTS = sorted(Path(EXAMPLES_DIR).glob("*.py")) + sorted(
+    (Path(EXAMPLES_DIR).parent / "benchmarks").glob("*.py")
 )
 
 
@@ -49,3 +56,23 @@ def test_examples_reference_only_public_api():
                     imported = [item.strip() for item in match.group(1).split(",")]
                     private = [name for name in imported if name.startswith("_")]
                     assert not private, f"{script} imports private names: {private}"
+
+
+def _provides(module, name: str) -> bool:
+    """``from module import name`` would succeed: an attribute or a submodule."""
+    if hasattr(module, name):
+        return True
+    return hasattr(module, "__path__") and importlib.util.find_spec(f"{module.__name__}.{name}") is not None
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_scripts_import_only_existing_names(script):
+    for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            module = importlib.import_module(node.module)
+            missing = [alias.name for alias in node.names if not _provides(module, alias.name)]
+            assert not missing, f"{script.name}: {node.module} has no {missing}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "repro":
+                    importlib.import_module(alias.name)

@@ -1,6 +1,6 @@
 """Finite-difference gradient verification.
 
-Used by the test suite to validate every op in the autodiff engine. Checks
+Used by the tensor tests to validate every op in the autodiff engine. Checks
 are run in float64: float32 round-off would swamp the central-difference
 error and produce false failures.
 """

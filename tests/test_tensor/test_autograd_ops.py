@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, grad_check
+from repro.tensor import Tensor
+
+from .gradcheck import grad_check
 
 
 def _t(shape, seed=0, scale=1.0, shift=0.0):

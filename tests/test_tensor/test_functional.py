@@ -8,13 +8,14 @@ from repro.tensor import (
     avg_pool2d,
     conv2d,
     global_avg_pool2d,
-    grad_check,
     log_softmax,
     max_pool2d,
     pad2d,
     softmax,
 )
 from repro.tensor.functional import im2col_indices, zero_pad2d
+
+from .gradcheck import grad_check
 
 
 def _t(shape, seed=0):

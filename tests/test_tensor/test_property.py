@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.tensor import Tensor, grad_check
+from repro.tensor import Tensor
 from repro.tensor.tensor import _unbroadcast
+
+from .gradcheck import grad_check
 
 _small_floats = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, width=64)
 
