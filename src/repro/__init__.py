@@ -14,7 +14,7 @@ subpackage    role
 ``data``      2-D toys and the procedural CIFAR-10 stand-in
 ``bits``      IEEE-754 float32 bit manipulation and mask sampling
 ``faults``    fault models (Bernoulli AVF et al.), targets, injection
-``bayes``     Beta posterior and central intervals over error rates
+``bayes``     distributions and Bayesian-network graphs (Fig. 1 ②)
 ``mcmc``      samplers, convergence diagnostics, completeness criterion
 ``core``      BDLFI: campaigns, sweeps, layerwise & boundary studies
 ``baselines`` traditional random/exhaustive FI comparators

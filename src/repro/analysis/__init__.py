@@ -2,15 +2,24 @@
 
 The offline environment has no plotting stack, so every paper figure is
 emitted as (a) a numeric table and (b) an ASCII rendering, both produced by
-this package, along with the rank correlations behind the depth and
-boundary findings.
+this package. Statistics here back the experiment claims: bootstrap and
+binomial intervals, permutation tests for distributional differences, and
+rank correlations.
 """
 
-from repro.analysis.stats import rank_correlation
+from repro.analysis.stats import (
+    bootstrap_ci,
+    bootstrap_mean_difference,
+    permutation_test,
+    rank_correlation,
+)
 from repro.analysis.ascii_plot import line_plot, multi_line_plot, scatter_plot, histogram_plot, heatmap
 from repro.analysis.report import format_table, format_series, ResultWriter
 
 __all__ = [
+    "bootstrap_ci",
+    "bootstrap_mean_difference",
+    "permutation_test",
     "rank_correlation",
     "line_plot",
     "multi_line_plot",

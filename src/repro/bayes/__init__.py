@@ -1,18 +1,36 @@
-"""Probability helpers for the error posterior.
+"""Probabilistic-programming layer: distributions and Bayesian networks.
 
 The paper encodes its fault model "in a Bayesian Network ... for each neuron
 in the NN" (Fig. 1 ②): Bernoulli variables b₁..b₃₂ per stored float, a
 deterministic XOR transform to the faulted weights, the deterministic
-forward computation, and the output distribution. In this codebase that
-network is the factorised per-bit Bernoulli prior: the :mod:`repro.mcmc`
-targets score a state with
-:meth:`~repro.faults.configuration.FaultConfiguration.log_prob`, and
-:mod:`repro.moments` propagates it analytically. This package holds what
-the posterior over the campaign error rate needs: the
-:class:`~repro.bayes.distributions.Beta` distribution and the
-central-interval convention of :mod:`repro.bayes.intervals`.
+forward computation, and the output distribution. This package provides the
+formalism — distribution objects with ``sample``/``log_prob`` and a directed
+graphical model with ancestral sampling and joint densities — that
+:mod:`repro.core.bayesian_network` instantiates for a concrete trained
+network, and that the :mod:`repro.mcmc` kernels target.
 """
 
-from repro.bayes.distributions import Beta
+from repro.bayes.distributions import (
+    Distribution,
+    Bernoulli,
+    Binomial,
+    Categorical,
+    Normal,
+    Beta,
+    PoissonBinomial,
+)
+from repro.bayes.graph import BayesianNetwork, RandomVariable, Deterministic, Trace
 
-__all__ = ["Beta"]
+__all__ = [
+    "Distribution",
+    "Bernoulli",
+    "Binomial",
+    "Categorical",
+    "Normal",
+    "Beta",
+    "PoissonBinomial",
+    "BayesianNetwork",
+    "RandomVariable",
+    "Deterministic",
+    "Trace",
+]

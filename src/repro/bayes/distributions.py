@@ -1,14 +1,176 @@
-"""The Beta distribution: the conjugate posterior over an error rate."""
+"""Probability distributions with sampling and log-density.
+
+Small, numpy-native, and sufficient for the paper's failure model:
+Bernoulli lattices over bits, Binomial/Poisson-Binomial flip counts (the
+backbone of the stratified accelerator), Categorical outputs, and
+Normal/Beta for posterior summaries and conjugate error-rate estimation.
+"""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import betaln
+from scipy.special import betaln, gammaln
 
-__all__ = ["Beta"]
+__all__ = [
+    "Distribution",
+    "Bernoulli",
+    "Binomial",
+    "Categorical",
+    "Normal",
+    "Beta",
+    "PoissonBinomial",
+]
 
 
-class Beta:
+class Distribution:
+    """Interface: ``sample(rng, size)`` and ``log_prob(value)``."""
+
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None):
+        raise NotImplementedError
+
+    def log_prob(self, value) -> np.ndarray:
+        raise NotImplementedError
+
+    @property
+    def mean(self) -> float:
+        raise NotImplementedError
+
+    @property
+    def variance(self) -> float:
+        raise NotImplementedError
+
+
+class Bernoulli(Distribution):
+    """Coin flip with success probability ``p`` — one bit of the AVF model."""
+
+    def __init__(self, p: float) -> None:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must be in [0, 1], got {p}")
+        self.p = float(p)
+
+    def sample(self, rng, size=None):
+        draw = np.asarray(rng.random(size) < self.p).astype(np.int64)
+        return draw if size is not None else int(draw)
+
+    def log_prob(self, value):
+        value = np.asarray(value)
+        if np.any((value != 0) & (value != 1)):
+            raise ValueError("Bernoulli support is {0, 1}")
+        with np.errstate(divide="ignore"):
+            return np.where(value == 1, np.log(self.p), np.log1p(-self.p))
+
+    @property
+    def mean(self) -> float:
+        return self.p
+
+    @property
+    def variance(self) -> float:
+        return self.p * (1.0 - self.p)
+
+
+class Binomial(Distribution):
+    """Number of successes in ``n`` Bernoulli(p) trials — the flip count K."""
+
+    def __init__(self, n: int, p: float) -> None:
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must be in [0, 1], got {p}")
+        self.n = int(n)
+        self.p = float(p)
+
+    def sample(self, rng, size=None):
+        return rng.binomial(self.n, self.p, size=size)
+
+    def log_prob(self, value):
+        k = np.asarray(value)
+        if np.any((k < 0) | (k > self.n)):
+            raise ValueError(f"Binomial support is [0, {self.n}]")
+        log_comb = gammaln(self.n + 1) - gammaln(k + 1) - gammaln(self.n - k + 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(k > 0, k * np.log(self.p) if self.p > 0 else -np.inf, 0.0)
+            term = term + np.where(
+                self.n - k > 0, (self.n - k) * np.log1p(-self.p) if self.p < 1 else -np.inf, 0.0
+            )
+        return log_comb + term
+
+    def pmf(self, k: np.ndarray) -> np.ndarray:
+        """Exact probability mass at ``k`` (used for stratum weighting)."""
+        return np.exp(self.log_prob(k))
+
+    @property
+    def mean(self) -> float:
+        return self.n * self.p
+
+    @property
+    def variance(self) -> float:
+        return self.n * self.p * (1.0 - self.p)
+
+
+class Categorical(Distribution):
+    """Distribution over ``len(probs)`` categories — the softmax output node."""
+
+    def __init__(self, probs: np.ndarray) -> None:
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.ndim != 1 or probs.size == 0:
+            raise ValueError("probs must be a non-empty 1-D array")
+        if np.any(probs < 0):
+            raise ValueError("probabilities must be non-negative")
+        total = probs.sum()
+        if not np.isclose(total, 1.0, atol=1e-6):
+            raise ValueError(f"probabilities must sum to 1, got {total}")
+        self.probs = probs / total
+
+    def sample(self, rng, size=None):
+        return rng.choice(len(self.probs), size=size, p=self.probs)
+
+    def log_prob(self, value):
+        value = np.asarray(value, dtype=np.int64)
+        if np.any((value < 0) | (value >= len(self.probs))):
+            raise ValueError("category out of range")
+        with np.errstate(divide="ignore"):
+            return np.log(self.probs[value])
+
+    @property
+    def mean(self) -> float:
+        return float(np.arange(len(self.probs)) @ self.probs)
+
+    @property
+    def variance(self) -> float:
+        idx = np.arange(len(self.probs))
+        m = self.mean
+        return float(((idx - m) ** 2) @ self.probs)
+
+
+class Normal(Distribution):
+    """Gaussian — posterior summaries and Geweke asymptotics."""
+
+    def __init__(self, loc: float, scale: float) -> None:
+        if scale <= 0:
+            raise ValueError(f"scale must be positive, got {scale}")
+        self.loc = float(loc)
+        self.scale = float(scale)
+
+    def sample(self, rng, size=None):
+        return rng.normal(self.loc, self.scale, size=size)
+
+    def log_prob(self, value):
+        value = np.asarray(value, dtype=np.float64)
+        z = (value - self.loc) / self.scale
+        return -0.5 * z * z - math.log(self.scale) - 0.5 * math.log(2 * math.pi)
+
+    @property
+    def mean(self) -> float:
+        return self.loc
+
+    @property
+    def variance(self) -> float:
+        return self.scale**2
+
+
+class Beta(Distribution):
     """Beta distribution — the conjugate posterior over an SDC/error rate.
 
     A campaign observing ``k`` misclassifications in ``n`` faulted runs with
@@ -61,3 +223,52 @@ class Beta:
     def variance(self) -> float:
         total = self.a + self.b
         return self.a * self.b / (total**2 * (total + 1))
+
+
+class PoissonBinomial(Distribution):
+    """Sum of independent Bernoulli(pᵢ) with heterogeneous pᵢ.
+
+    Models the flip count when bit lanes have *different* AVFs (e.g.
+    ECC-protected exponent bits). PMF computed exactly by iterative
+    convolution — fine for the few-thousand-bit scales we stratify over.
+    """
+
+    def __init__(self, probs: np.ndarray) -> None:
+        probs = np.asarray(probs, dtype=np.float64)
+        if probs.ndim != 1:
+            raise ValueError("probs must be 1-D")
+        if np.any((probs < 0) | (probs > 1)):
+            raise ValueError("probabilities must be in [0, 1]")
+        self.probs = probs
+        self._pmf_cache: np.ndarray | None = None
+
+    def _pmf(self) -> np.ndarray:
+        if self._pmf_cache is None:
+            pmf = np.array([1.0])
+            for p in self.probs:
+                pmf = np.convolve(pmf, [1.0 - p, p])
+            self._pmf_cache = pmf
+        return self._pmf_cache
+
+    def sample(self, rng, size=None):
+        if size is None:
+            return int((rng.random(len(self.probs)) < self.probs).sum())
+        size_tuple = (size,) if isinstance(size, int) else tuple(size)
+        draws = rng.random(size_tuple + (len(self.probs),)) < self.probs
+        return draws.sum(axis=-1)
+
+    def log_prob(self, value):
+        pmf = self._pmf()
+        value = np.asarray(value, dtype=np.int64)
+        if np.any((value < 0) | (value >= len(pmf))):
+            raise ValueError("value out of Poisson-Binomial support")
+        with np.errstate(divide="ignore"):
+            return np.log(pmf[value])
+
+    @property
+    def mean(self) -> float:
+        return float(self.probs.sum())
+
+    @property
+    def variance(self) -> float:
+        return float((self.probs * (1 - self.probs)).sum())

@@ -1,10 +1,11 @@
-"""One shared convention for central intervals.
+"""One shared convention for central intervals — Bayesian and frequentist.
 
 Several parts of the library summarise an estimate with a *central*
 interval: :meth:`repro.bayes.distributions.Beta.interval` (credible
-interval on a rate) and
+interval on a rate), :func:`repro.analysis.stats.bootstrap_ci`
+(percentile bootstrap), and
 :meth:`repro.core.posterior.ErrorPosterior.credible_interval` (sample
-quantiles). They both mean the same thing — put ``(1 - mass) / 2``
+quantiles). They all mean the same thing — put ``(1 - mass) / 2``
 probability in each tail — but each used to spell the tail arithmetic
 out locally, which is exactly how conventions drift apart. This module
 is the single definition they now share.

@@ -6,10 +6,8 @@ four-step procedure of Section II:
 1. *train* the golden network (done upstream, via :mod:`repro.train`);
 2. *create the error distribution* over the network weights from the bit
    flip fault model (:mod:`repro.faults`);
-3. *create a Bayesian fault model* for each neuron — the factorised per-bit
-   Bernoulli prior that
-   :meth:`~repro.faults.configuration.FaultConfiguration.log_prob` scores
-   and :mod:`repro.mcmc` targets;
+3. *create a Bayesian fault model* for each neuron — the explicit DBN is
+   available from :func:`~repro.core.bayesian_network.build_fault_network`;
 4. *perform inference* with MCMC (:mod:`repro.mcmc`) to obtain the
    classification uncertainty for different flip probabilities.
 
@@ -23,6 +21,7 @@ Hamming-weight-stratified accelerated estimator (advantage #2).
 from repro.core.injector import BayesianFaultInjector
 from repro.core.campaign import CampaignResult
 from repro.core.posterior import ErrorPosterior
+from repro.core.bayesian_network import build_fault_network, MaskDistribution
 from repro.core.sweep import ProbabilitySweep, SweepPoint
 from repro.core.layerwise import LayerwiseCampaign, LayerResult
 from repro.core.boundary import DecisionBoundaryAnalysis, BoundaryMap
@@ -39,6 +38,8 @@ __all__ = [
     "BayesianFaultInjector",
     "CampaignResult",
     "ErrorPosterior",
+    "build_fault_network",
+    "MaskDistribution",
     "ProbabilitySweep",
     "SweepPoint",
     "LayerwiseCampaign",

@@ -54,7 +54,7 @@ def hazard_aware_error(logits, labels) -> float:
     :func:`~repro.train.metrics.classification_error` bit-exactly, and any
     row containing a non-finite logit counts as an error deterministically
     — never via whatever class NaN ``argmax`` happens to emit. Every
-    campaign statistic path (sequential, batched, delta) shares
+    campaign statistic path (sequential, batched, explicit DBN) shares
     this definition so their error means stay comparable.
     """
     array = _logit_array(logits)

@@ -16,6 +16,8 @@ from repro.data.datasets import Dataset, ArrayDataset
 from repro.data.loader import DataLoader
 from repro.data.synthetic import two_moons, gaussian_blobs
 from repro.data.images import SyntheticImageConfig, make_synthetic_images
+from repro.data.digits import make_digit_dataset, render_digit
+from repro.data.splits import train_test_split
 
 __all__ = [
     "Dataset",
@@ -25,4 +27,7 @@ __all__ = [
     "gaussian_blobs",
     "SyntheticImageConfig",
     "make_synthetic_images",
+    "make_digit_dataset",
+    "render_digit",
+    "train_test_split",
 ]

@@ -11,10 +11,8 @@ This package provides:
   :class:`~repro.faults.targets.TargetSpec` — *where* faults land
   (weights, biases, activations, inputs; which layers);
 * :class:`~repro.faults.model.FaultModel` and implementations — *how* bits
-  flip (:class:`BernoulliBitFlipModel` is the paper's model;
-  :class:`SingleBitFlipModel` is the one-fault-per-run model of
-  traditional injectors, and :class:`repro.protect.ProtectedFaultModel`
-  masks protected bit lanes);
+  flip (:class:`BernoulliBitFlipModel` is the paper's model; single-bit,
+  stuck-at, and byte-error models cover the broader FI literature);
 * :class:`~repro.faults.configuration.FaultConfiguration` — a concrete
   sampled set of XOR masks over named parameters (this is also the state
   space the MCMC kernels walk);
@@ -26,7 +24,9 @@ This package provides:
 from repro.faults.targets import FaultSurface, TargetSpec, resolve_parameter_targets, resolve_activation_modules
 from repro.faults.model import FaultModel
 from repro.faults.bernoulli import BernoulliBitFlipModel
-from repro.faults.single import SingleBitFlipModel
+from repro.faults.heterogeneous import HeterogeneousBitFlipModel
+from repro.faults.single import SingleBitFlipModel, StuckAtModel, ByteErrorModel
+from repro.faults.burst import BurstBitFlipModel
 from repro.faults.configuration import FaultConfiguration
 from repro.faults.sparse import SparseMask
 from repro.faults.injection import (
@@ -43,7 +43,11 @@ __all__ = [
     "resolve_activation_modules",
     "FaultModel",
     "BernoulliBitFlipModel",
+    "HeterogeneousBitFlipModel",
     "SingleBitFlipModel",
+    "StuckAtModel",
+    "ByteErrorModel",
+    "BurstBitFlipModel",
     "FaultConfiguration",
     "SparseMask",
     "apply_configuration",

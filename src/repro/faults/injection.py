@@ -111,7 +111,7 @@ class _HookInjector:
         data = tensor.data
         if data.dtype != np.float32:
             raise TypeError(f"bit flips act on float32 activations, got {data.dtype}")
-        corrupted = apply_bit_mask(data, self.fault_model.sample_mask(data.shape, self.rng))
+        corrupted = self.fault_model.corrupt(data, self.rng)
         self.corruption_count += 1
         return Tensor(corrupted)
 

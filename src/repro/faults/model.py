@@ -1,13 +1,17 @@
 """The FaultModel abstraction.
 
 A fault model is a probability distribution over corruptions of a float32
-array. Every model expresses a corruption as a uint32 XOR mask, which
-composes with the paper's ``W' = e ⊕ W`` transform.
+array. Mask-based models (everything except stuck-at) express a corruption
+as a uint32 XOR mask, which composes with the paper's ``W' = e ⊕ W``
+transform; stuck-at faults depend on the stored value and override
+:meth:`corrupt` directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.bits.float32 import apply_bit_mask
 
 __all__ = ["FaultModel"]
 
@@ -27,7 +31,11 @@ class FaultModel:
         return self
 
     def sample_mask(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        """Draw a uint32 XOR mask of ``shape``."""
+        """Draw a uint32 XOR mask of ``shape``.
+
+        Mask-based models must implement this; value-dependent models
+        (stuck-at) raise and override :meth:`corrupt` instead.
+        """
         raise NotImplementedError
 
     def sample_sparse(self, shape: tuple[int, ...], rng: np.random.Generator):
@@ -49,6 +57,10 @@ class FaultModel:
         count and lane occupancy (Bernoulli) override it to stay O(K).
         """
         return self.log_prob_mask(sparse.to_dense())
+
+    def corrupt(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Return a corrupted copy of ``values`` (float32)."""
+        return apply_bit_mask(values, self.sample_mask(np.shape(values), rng))
 
     def log_prob_mask(self, mask: np.ndarray) -> float:
         """Log-probability of drawing ``mask`` (for models that define it).

@@ -1,14 +1,14 @@
 """Training infrastructure: losses, optimizers, schedules, and the Trainer.
 
 Step 1 of the BDLFI procedure is "train the network to obtain the weights of
-the golden network". This package provides that substrate: Adam,
+the golden network". This package provides that substrate: SGD/Adam,
 cross-entropy, learning-rate schedules, a training loop with metric
 tracking, and npz checkpointing so golden weights can be stored and reloaded
 by injection campaigns.
 """
 
 from repro.train.losses import CrossEntropyLoss, MSELoss
-from repro.train.optim import Adam, Optimizer
+from repro.train.optim import SGD, Adam, Optimizer
 from repro.train.schedules import ConstantLR, StepLR, CosineAnnealingLR
 from repro.train.metrics import accuracy, classification_error, confusion_matrix
 from repro.train.loop import Trainer, TrainResult
@@ -18,6 +18,7 @@ __all__ = [
     "CrossEntropyLoss",
     "MSELoss",
     "Optimizer",
+    "SGD",
     "Adam",
     "ConstantLR",
     "StepLR",

@@ -1,8 +1,8 @@
 """First-order optimizers.
 
 Optimizers hold references to a model's parameters and update ``.data`` in
-place from ``.grad``. Per-parameter state (the Adam moments) is keyed by
-parameter identity.
+place from ``.grad``. Per-parameter state (momentum buffers, Adam moments)
+is keyed by parameter identity.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.module import Parameter
 
-__all__ = ["Optimizer", "Adam"]
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 
 class Optimizer:
@@ -34,6 +34,47 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
+
+
+class SGD(Optimizer):
+    """Stochastic gradient descent with optional momentum and weight decay."""
+
+    def __init__(
+        self,
+        parameters: Iterable[Parameter],
+        lr: float = 0.01,
+        momentum: float = 0.0,
+        weight_decay: float = 0.0,
+        nesterov: bool = False,
+    ) -> None:
+        super().__init__(parameters, lr)
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        if weight_decay < 0.0:
+            raise ValueError(f"weight decay must be non-negative, got {weight_decay}")
+        if nesterov and momentum == 0.0:
+            raise ValueError("nesterov momentum requires momentum > 0")
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.nesterov = nesterov
+        self._velocity: dict[int, np.ndarray] = {}
+
+    def step(self) -> None:
+        for param in self.parameters:
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            if self.momentum:
+                buf = self._velocity.get(id(param))
+                if buf is None:
+                    buf = np.zeros_like(param.data)
+                    self._velocity[id(param)] = buf
+                buf *= self.momentum
+                buf += grad
+                grad = grad + self.momentum * buf if self.nesterov else buf
+            param.data -= (self.lr * grad).astype(param.data.dtype)
 
 
 class Adam(Optimizer):

@@ -1,9 +1,107 @@
-"""The Beta posterior: conjugate update, intervals and log-density."""
+"""Distribution sampling statistics and log-densities."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bayes import Beta
+from repro.bayes import Bernoulli, Beta, Binomial, Categorical, Normal, PoissonBinomial
+
+
+class TestBernoulli:
+    def test_sample_frequency(self, rng):
+        draws = Bernoulli(0.3).sample(rng, size=20000)
+        assert abs(draws.mean() - 0.3) < 0.02
+
+    def test_log_prob(self):
+        d = Bernoulli(0.25)
+        assert d.log_prob(1) == pytest.approx(math.log(0.25))
+        assert d.log_prob(0) == pytest.approx(math.log(0.75))
+
+    def test_support_enforced(self):
+        with pytest.raises(ValueError):
+            Bernoulli(0.5).log_prob(2)
+
+    def test_moments(self):
+        d = Bernoulli(0.2)
+        assert d.mean == 0.2
+        assert d.variance == pytest.approx(0.16)
+
+    def test_scalar_sample(self, rng):
+        assert Bernoulli(0.5).sample(rng) in (0, 1)
+
+    @given(st.floats(min_value=0.01, max_value=0.99))
+    @settings(max_examples=20, deadline=None)
+    def test_probabilities_normalise(self, p):
+        d = Bernoulli(p)
+        total = math.exp(float(d.log_prob(0))) + math.exp(float(d.log_prob(1)))
+        assert total == pytest.approx(1.0)
+
+
+class TestBinomial:
+    def test_pmf_sums_to_one(self):
+        d = Binomial(20, 0.3)
+        assert d.pmf(np.arange(21)).sum() == pytest.approx(1.0)
+
+    def test_matches_scipy(self):
+        from scipy import stats as sps
+
+        d = Binomial(15, 0.2)
+        ks = np.arange(16)
+        assert np.allclose(d.pmf(ks), sps.binom.pmf(ks, 15, 0.2))
+
+    def test_sample_mean(self, rng):
+        draws = Binomial(50, 0.4).sample(rng, size=5000)
+        assert abs(draws.mean() - 20.0) < 0.5
+
+    def test_moments(self):
+        d = Binomial(10, 0.5)
+        assert d.mean == 5.0
+        assert d.variance == 2.5
+
+    def test_support(self):
+        with pytest.raises(ValueError):
+            Binomial(5, 0.5).log_prob(6)
+
+
+class TestCategorical:
+    def test_sampling_frequencies(self, rng):
+        d = Categorical(np.array([0.7, 0.2, 0.1]))
+        draws = d.sample(rng, size=20000)
+        freq = np.bincount(draws, minlength=3) / 20000
+        assert np.allclose(freq, [0.7, 0.2, 0.1], atol=0.02)
+
+    def test_normalisation_check(self):
+        with pytest.raises(ValueError):
+            Categorical(np.array([0.5, 0.2]))
+        with pytest.raises(ValueError):
+            Categorical(np.array([-0.5, 1.5]))
+
+    def test_log_prob_indexing(self):
+        d = Categorical(np.array([0.5, 0.5]))
+        assert d.log_prob(np.array([0, 1])) == pytest.approx(math.log(0.5))
+        with pytest.raises(ValueError):
+            d.log_prob(2)
+
+
+class TestNormal:
+    def test_log_prob_matches_scipy(self):
+        from scipy import stats as sps
+
+        d = Normal(1.0, 2.0)
+        xs = np.linspace(-5, 5, 11)
+        assert np.allclose(d.log_prob(xs), sps.norm.logpdf(xs, 1.0, 2.0))
+
+    def test_sample_moments(self, rng):
+        draws = Normal(-2.0, 0.5).sample(rng, size=20000)
+        assert abs(draws.mean() + 2.0) < 0.02
+        assert abs(draws.std() - 0.5) < 0.02
+
+    def test_scale_validation(self):
+        with pytest.raises(ValueError):
+            Normal(0.0, 0.0)
 
 
 class TestBeta:
@@ -34,3 +132,31 @@ class TestBeta:
         d = Beta(3.0, 7.0)
         xs = np.linspace(0.05, 0.95, 10)
         assert np.allclose(d.log_prob(xs), sps.beta.logpdf(xs, 3, 7))
+
+
+class TestPoissonBinomial:
+    def test_reduces_to_binomial_for_equal_probs(self):
+        pb = PoissonBinomial(np.full(12, 0.3))
+        binom = Binomial(12, 0.3)
+        ks = np.arange(13)
+        assert np.allclose(np.exp(pb.log_prob(ks)), binom.pmf(ks), atol=1e-12)
+
+    def test_heterogeneous_mean_variance(self):
+        probs = np.array([0.1, 0.5, 0.9])
+        pb = PoissonBinomial(probs)
+        assert pb.mean == pytest.approx(1.5)
+        assert pb.variance == pytest.approx((probs * (1 - probs)).sum())
+
+    def test_sampling_matches_pmf_mean(self, rng):
+        probs = np.array([0.2, 0.8, 0.5, 0.1])
+        pb = PoissonBinomial(probs)
+        draws = pb.sample(rng, size=10000)
+        assert abs(draws.mean() - pb.mean) < 0.05
+
+    def test_scalar_sample(self, rng):
+        assert 0 <= PoissonBinomial(np.array([0.5, 0.5])).sample(rng) <= 2
+
+    def test_support(self):
+        pb = PoissonBinomial(np.array([0.5]))
+        with pytest.raises(ValueError):
+            pb.log_prob(2)

@@ -93,6 +93,20 @@ class TestBetaCentralInterval:
 
 
 class TestSharedConvention:
+    def test_bootstrap_ci_uses_the_same_tails(self, ):
+        from repro.analysis.stats import bootstrap_ci
+
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=200)
+        lo, hi = bootstrap_ci(data, confidence=0.9, n_boot=200, rng=rng)
+        assert lo < np.mean(data) < hi
+
+    def test_bootstrap_ci_rejects_bad_confidence_via_central_tails(self):
+        from repro.analysis.stats import bootstrap_ci
+
+        with pytest.raises(ValueError, match="mass"):
+            bootstrap_ci(np.arange(10.0), confidence=1.0)
+
     def test_error_posterior_credible_interval_uses_central_tails(self):
         from repro.core.posterior import ErrorPosterior
 

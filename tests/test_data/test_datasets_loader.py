@@ -1,9 +1,9 @@
-"""ArrayDataset and DataLoader."""
+"""ArrayDataset, DataLoader, and splits."""
 
 import numpy as np
 import pytest
 
-from repro.data import ArrayDataset, DataLoader
+from repro.data import ArrayDataset, DataLoader, train_test_split
 
 
 def _dataset(n=10, dim=3):
@@ -77,3 +77,22 @@ class TestDataLoader:
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             DataLoader(_dataset(), batch_size=0)
+
+
+class TestSplit:
+    def test_sizes(self):
+        train, test = train_test_split(_dataset(100), test_fraction=0.2, rng=0)
+        assert len(train) == 80
+        assert len(test) == 20
+
+    def test_disjoint_and_complete(self):
+        ds = ArrayDataset(np.arange(20).reshape(20, 1), np.zeros(20))
+        train, test = train_test_split(ds, test_fraction=0.25, rng=1)
+        combined = sorted(np.concatenate([train.features, test.features]).reshape(-1).tolist())
+        assert combined == list(range(20))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            train_test_split(_dataset(), test_fraction=0.0)
+        with pytest.raises(ValueError):
+            train_test_split(ArrayDataset(np.zeros((1, 1)), np.zeros(1)), 0.5)

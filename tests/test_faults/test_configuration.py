@@ -5,8 +5,12 @@ import pytest
 
 from repro.faults import (
     BernoulliBitFlipModel,
+    BurstBitFlipModel,
+    ByteErrorModel,
     FaultConfiguration,
+    HeterogeneousBitFlipModel,
     SingleBitFlipModel,
+    StuckAtModel,
     TargetSpec,
     resolve_parameter_targets,
 )
@@ -39,7 +43,10 @@ class TestConstruction:
 SAMPLED_MODELS = {
     "bernoulli": BernoulliBitFlipModel(0.05),
     "bernoulli-lanes": BernoulliBitFlipModel(0.1, bits=(23, 24, 30)),
+    "heterogeneous": HeterogeneousBitFlipModel(np.linspace(0.0, 0.2, 32)),
+    "burst": BurstBitFlipModel(0.2, burst_length=3),
     "single": SingleBitFlipModel(),
+    "byte": ByteErrorModel(),
     "protected": ProtectedFaultModel(
         BernoulliBitFlipModel(0.1),
         ProtectionScheme({"layers.0.weight": frozenset(range(23, 31)), "layers.2.bias": frozenset({31})}),
@@ -62,6 +69,11 @@ class TestSampling:
             assert got.shape == expected.shape
             np.testing.assert_array_equal(got, expected)
         assert cfg.total_flips() > 0
+
+    def test_value_dependent_model_cannot_be_sampled(self, targets, rng):
+        with pytest.raises(NotImplementedError):
+            FaultConfiguration.sample(targets, StuckAtModel(1), rng)
+
 
 class TestAlgebra:
     def test_xor_with_self_is_empty(self, targets, rng):

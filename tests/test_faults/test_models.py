@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bits import count_set_bits
-from repro.faults import BernoulliBitFlipModel, SingleBitFlipModel
+from repro.faults import BernoulliBitFlipModel, ByteErrorModel, SingleBitFlipModel, StuckAtModel
 
 
 class TestBernoulliModel:
@@ -72,3 +72,52 @@ class TestSingleBitModel:
     def test_empty_array_rejected(self, rng):
         with pytest.raises(ValueError):
             SingleBitFlipModel().sample_mask((0,), rng)
+
+
+class TestStuckAt:
+    def test_stuck_at_one_sets_bit(self, rng):
+        model = StuckAtModel(1)
+        values = np.zeros(10, dtype=np.float32)  # all bits 0
+        out = model.corrupt(values, rng)
+        # Exactly one bit forced to 1 (compare bit patterns: a sign-bit
+        # flip yields -0.0, which numerically equals 0.0).
+        assert count_set_bits(out.view(np.uint32)) == 1
+
+    def test_stuck_at_zero_on_all_ones_pattern(self, rng):
+        model = StuckAtModel(0)
+        values = np.full(10, np.float32(np.nan))  # nan has many set bits
+        bits_before = values.view(np.uint32).copy()
+        out = model.corrupt(values, rng)
+        diff = bits_before ^ out.view(np.uint32)
+        assert count_set_bits(diff) <= 1  # cleared at most one bit
+
+    def test_can_be_noop(self, rng):
+        # Sticking a zero bit at 0 changes nothing — allowed by the model.
+        model = StuckAtModel(0)
+        values = np.zeros(4, dtype=np.float32)
+        out = model.corrupt(values, rng)
+        assert np.array_equal(out, values)
+
+    def test_sample_mask_unsupported(self, rng):
+        with pytest.raises(NotImplementedError):
+            StuckAtModel(1).sample_mask((2,), rng)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            StuckAtModel(2)
+
+
+class TestByteError:
+    def test_corruption_confined_to_one_byte(self, rng):
+        model = ByteErrorModel()
+        for _ in range(20):
+            mask = model.sample_mask((6,), rng)
+            nonzero = mask[mask != 0]
+            assert len(nonzero) <= 1
+            if len(nonzero):
+                word = int(nonzero[0])
+                bytes_touched = sum(1 for b in range(4) if word >> (8 * b) & 0xFF)
+                assert bytes_touched == 1
+
+    def test_expected_flips(self):
+        assert ByteErrorModel().expected_flips(10) == 4.0

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core import BayesianFaultInjector, OutcomeCampaign
-from repro.faults import BernoulliBitFlipModel, FaultConfiguration, SingleBitFlipModel, TargetSpec
+from repro.faults import (
+    BernoulliBitFlipModel,
+    BurstBitFlipModel,
+    FaultConfiguration,
+    HeterogeneousBitFlipModel,
+    TargetSpec,
+)
 from repro.mcmc import PriorTarget, TemperedErrorTarget
-from repro.protect import ProtectedFaultModel, ProtectionScheme
 
 
 @pytest.fixture()
@@ -44,11 +49,11 @@ class TestAlternativeModelsThroughCampaigns:
     @pytest.mark.parametrize(
         "fault_model",
         [
-            ProtectedFaultModel(BernoulliBitFlipModel(5e-3), ProtectionScheme.field_everywhere("exponent")),
-            SingleBitFlipModel(),
+            HeterogeneousBitFlipModel.ecc_on_exponent(5e-3),
+            BurstBitFlipModel(5e-3, burst_length=3),
             BernoulliBitFlipModel(5e-3, bits=(29, 30, 31)),
         ],
-        ids=["protected-exponent", "single-bit", "lane-restricted"],
+        ids=["heterogeneous-ecc", "burst", "lane-restricted"],
     )
     def test_forward_campaign_accepts_model(self, injector, fault_model):
         campaign = injector.forward_campaign(5e-3, samples=40, fault_model=fault_model)
@@ -57,7 +62,7 @@ class TestAlternativeModelsThroughCampaigns:
 
     def test_outcome_campaign_with_custom_model(self, injector):
         campaign = OutcomeCampaign(injector).run(
-            5e-3, samples=40, fault_model=SingleBitFlipModel()
+            5e-3, samples=40, fault_model=BurstBitFlipModel(5e-3, burst_length=2)
         )
         assert campaign.masked_rate + campaign.sdc_rate + campaign.due_rate == pytest.approx(1.0)
 

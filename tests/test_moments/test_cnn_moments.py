@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import DataLoader, SyntheticImageConfig, make_synthetic_images
+from repro.data import DataLoader, make_digit_dataset
 from repro.faults import BernoulliBitFlipModel, TargetSpec
 from repro.moments import MomentPropagator
 from repro.nn import BatchNorm2d, Conv2d, Dense, Flatten, LeNet, ReLU, Sequential
@@ -14,10 +14,10 @@ BENIGN_LANES = tuple(range(0, 23)) + (31,)
 
 
 @pytest.fixture(scope="module")
-def image_lenet():
-    """Avg-pool LeNet trained on single-channel procedural images."""
-    config = SyntheticImageConfig(image_size=16, channels=1, noise=4.5, seed=11)
-    train, test = make_synthetic_images(config, 1000, 250)
+def digit_lenet():
+    """Avg-pool LeNet trained on seven-segment digits."""
+    train = make_digit_dataset(1000, size=16, noise=0.3, rng=0)
+    test = make_digit_dataset(250, size=16, noise=0.3, rng=1)
     model = LeNet(in_channels=1, num_classes=10, image_size=16, pool="avg", rng=0)
     Trainer(model, Adam(model.parameters(), lr=1e-3)).fit(
         DataLoader(train, batch_size=64, shuffle=True, rng=2), epochs=6
@@ -27,8 +27,8 @@ def image_lenet():
 
 
 class TestFlattening:
-    def test_lenet_avg_flattens(self, image_lenet):
-        model, _, _ = image_lenet
+    def test_lenet_avg_flattens(self, digit_lenet):
+        model, _, _ = digit_lenet
         propagator = MomentPropagator(model, 1e-4)
         kinds = [type(layer).__name__ for layer in propagator.sequence]
         assert "Conv2d" in kinds and "AvgPool2d" in kinds and "Dense" in kinds
@@ -49,8 +49,8 @@ class TestFlattening:
 
 
 class TestCnnPropagation:
-    def test_zero_p_matches_clean_network(self, image_lenet):
-        model, eval_x, eval_y = image_lenet
+    def test_zero_p_matches_clean_network(self, digit_lenet):
+        model, eval_x, eval_y = digit_lenet
         from repro.tensor import Tensor, no_grad
 
         propagator = MomentPropagator(model, 0.0)
@@ -60,10 +60,10 @@ class TestCnnPropagation:
         assert np.allclose(mean, logits, atol=1e-3)
         assert np.allclose(variance, 0.0, atol=1e-6)
 
-    def test_benign_lane_prediction_matches_mc(self, image_lenet):
+    def test_benign_lane_prediction_matches_mc(self, digit_lenet):
         from repro.core import BayesianFaultInjector
 
-        model, eval_x, eval_y = image_lenet
+        model, eval_x, eval_y = digit_lenet
         injector = BayesianFaultInjector(
             model, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=0
         )
@@ -74,10 +74,10 @@ class TestCnnPropagation:
         )
         assert prediction.combined_error == pytest.approx(campaign.mean_error, abs=0.04)
 
-    def test_full_lane_bounds_bracket_mc(self, image_lenet):
+    def test_full_lane_bounds_bracket_mc(self, digit_lenet):
         from repro.core import BayesianFaultInjector
 
-        model, eval_x, eval_y = image_lenet
+        model, eval_x, eval_y = digit_lenet
         injector = BayesianFaultInjector(
             model, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=0
         )
@@ -86,8 +86,8 @@ class TestCnnPropagation:
         campaign = injector.forward_campaign(p, samples=120)
         assert prediction.brackets(campaign.mean_error)
 
-    def test_variance_grows_with_p(self, image_lenet):
-        model, eval_x, _ = image_lenet
+    def test_variance_grows_with_p(self, digit_lenet):
+        model, eval_x, _ = digit_lenet
         _, var_small = MomentPropagator(model, 1e-5, bits=BENIGN_LANES).propagate(eval_x[:8])
         _, var_large = MomentPropagator(model, 1e-3, bits=BENIGN_LANES).propagate(eval_x[:8])
         assert var_large.mean() > var_small.mean()

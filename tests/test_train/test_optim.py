@@ -4,13 +4,62 @@ import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.train import Adam
+from repro.train import SGD, Adam
 
 
 def _quadratic_step(optimizer, param):
     """One gradient step on f(w) = ||w||²/2 (gradient = w)."""
     param.grad = param.data.copy()
     optimizer.step()
+
+
+class TestSGD:
+    def test_vanilla_update(self):
+        p = Parameter(np.array([1.0], dtype=np.float32))
+        opt = SGD([p], lr=0.1)
+        p.grad = np.array([2.0], dtype=np.float32)
+        opt.step()
+        assert p.data[0] == pytest.approx(0.8)
+
+    def test_momentum_accelerates(self):
+        p_plain = Parameter(np.array([1.0], dtype=np.float32))
+        p_momentum = Parameter(np.array([1.0], dtype=np.float32))
+        plain = SGD([p_plain], lr=0.01)
+        momentum = SGD([p_momentum], lr=0.01, momentum=0.9)
+        for _ in range(20):
+            _quadratic_step(plain, p_plain)
+            _quadratic_step(momentum, p_momentum)
+        assert abs(p_momentum.data[0]) < abs(p_plain.data[0])
+
+    def test_weight_decay_shrinks_faster(self):
+        p = Parameter(np.array([1.0], dtype=np.float32))
+        opt = SGD([p], lr=0.1, weight_decay=0.5)
+        p.grad = np.zeros(1, dtype=np.float32)
+        opt.step()
+        assert p.data[0] == pytest.approx(0.95)
+
+    def test_none_grad_skipped(self):
+        p = Parameter(np.array([1.0], dtype=np.float32))
+        SGD([p], lr=0.1).step()  # no grad set: no-op, no crash
+        assert p.data[0] == 1.0
+
+    def test_converges_on_quadratic(self):
+        p = Parameter(np.array([5.0, -3.0], dtype=np.float32))
+        opt = SGD([p], lr=0.1, momentum=0.5)
+        for _ in range(100):
+            _quadratic_step(opt, p)
+        assert np.abs(p.data).max() < 1e-3
+
+    def test_validation(self):
+        p = Parameter(np.ones(1, dtype=np.float32))
+        with pytest.raises(ValueError):
+            SGD([p], lr=0.0)
+        with pytest.raises(ValueError):
+            SGD([p], lr=0.1, momentum=1.0)
+        with pytest.raises(ValueError):
+            SGD([p], lr=0.1, nesterov=True)
+        with pytest.raises(ValueError):
+            SGD([], lr=0.1)
 
 
 class TestAdam:

@@ -1,14 +1,16 @@
 """Learning-rate schedules."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.train import Adam, ConstantLR, CosineAnnealingLR, StepLR
+from repro.train import SGD, ConstantLR, CosineAnnealingLR, StepLR
 
 
 def _opt(lr=1.0):
-    return Adam([Parameter(np.ones(1, dtype=np.float32))], lr=lr)
+    return SGD([Parameter(np.ones(1, dtype=np.float32))], lr=lr)
 
 
 class TestConstant:
