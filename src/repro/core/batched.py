@@ -41,7 +41,7 @@ from repro.nn.layers import Dense
 from repro.nn.models.resnet import BasicBlock
 from repro.nn.module import Module
 from repro.nn.norm import _BatchNorm
-from repro.tensor.functional import im2col_indices, zero_pad2d
+from repro.tensor.functional import im2col_window
 from repro.tensor.tensor import Tensor, no_grad
 
 __all__ = ["BatchedNetworkEvaluator"]
@@ -74,7 +74,10 @@ class BatchedNetworkEvaluator:
       prefix reuse for every later sweep);
     * a faulted Conv2d/Dense/BatchNorm contracts all ``k`` stacked faulted
       parameter tensors against the shared input in one einsum/GEMM
-      (conv shares one im2col gather across configurations);
+      (conv builds its patch matrix with one ``np.take`` through the
+      cached flat index of :func:`~repro.tensor.functional.im2col_window`,
+      shared across configurations, or over the folded ``k*B`` rows of a
+      diverged input);
     * every untouched module after the divergence point runs once with the
       ``k`` axis folded into the batch axis — valid because eval-mode
       modules are batch-independent.
@@ -321,21 +324,22 @@ class BatchedNetworkEvaluator:
         k = len(configurations)
         size, stride, padding = module.kernel_size, module.stride, module.padding
         data = state.data
-        image_shape = data.shape[1:] if state.diverged else data.shape
-        kk, ii, jj, out_h, out_w = im2col_indices(image_shape, size, size, stride, padding)
+        window = im2col_window(data.shape, size, size, stride, padding)
         w_mat = weights.reshape(k, module.out_channels, -1)
-        padded = zero_pad2d(data, padding)
+        # (C*kh*kw, P, rows): one take for all k, rows innermost in memory
+        # as the indexed gather laid them out
+        patches = window.gather(data, features_major=True)
         if state.diverged:
-            cols = padded[:, :, kk, ii, jj]  # (k, B, C*kh*kw, P)
+            cols = patches.reshape(patches.shape[:2] + data.shape[:2]).transpose(2, 3, 0, 1)  # (k, B, C*kh*kw, P)
             out = np.einsum("kof,kbfp->kbop", w_mat, cols, optimize=True)
         else:
-            cols = padded[:, kk, ii, jj]  # (B, C*kh*kw, P) — one gather for all k
+            cols = patches.transpose(2, 0, 1)  # (B, C*kh*kw, P)
             out = np.einsum("kof,bfp->kbop", w_mat, cols, optimize=True)
         if module.bias is not None:
             biases = self._stacked_parameter(configurations, f"{name}.bias", module.bias.data)
             out = out + biases[:, None, :, None]
         batch = data.shape[1] if state.diverged else data.shape[0]
-        return _State(out.reshape(k, batch, module.out_channels, out_h, out_w), True)
+        return _State(out.reshape(k, batch, module.out_channels, window.out_h, window.out_w), True)
 
     def _run_norm(
         self, module: _BatchNorm, name: str, state: _State, configurations: list[FaultConfiguration]

@@ -17,7 +17,7 @@ class MaxPool2d(Module):
         if kernel_size <= 0:
             raise ValueError(f"kernel_size must be positive, got {kernel_size}")
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
 
     def forward(self, x: Tensor) -> Tensor:
         return F.max_pool2d(x, self.kernel_size, self.stride)
@@ -34,7 +34,7 @@ class AvgPool2d(Module):
         if kernel_size <= 0:
             raise ValueError(f"kernel_size must be positive, got {kernel_size}")
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
 
     def forward(self, x: Tensor) -> Tensor:
         return F.avg_pool2d(x, self.kernel_size, self.stride)

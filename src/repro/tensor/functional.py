@@ -6,22 +6,34 @@ multiply. That keeps both the forward pass and the gradient fully
 vectorised, which matters because BDLFI campaigns run thousands of forward
 passes per probability point.
 
-Gather layout. ``conv2d`` builds its patch matrix from a strided
-:func:`~numpy.lib.stride_tricks.sliding_window_view` with one contiguous
-copy, laid out batch-major as ``(batch, positions, features)``, and hands
-einsum a ``(batch, features, positions)`` transposed view of it. einsum
-lowers ``of,bfp->bop`` to one GEMM on that operand reshaped to
-``(batch*positions, features)``, and in this layout the reshape is free.
-An indexed gather (``x_padded[:, k, i, j]``) returns the matrix with the
-batch axis innermost in memory instead, so einsum had to copy it again on
-every call: a second full pass over the largest array of the forward.
-The layout is also the one that copy produced, so the GEMM call is
-unchanged and outputs are bit-identical to the indexed gather. (With one
-image or one output position einsum's reshape of the indexed gather was a
-view, features-major, so that case copies features-major too.) The weight
-gradient contracts over ``(batch, positions)`` and gets a features-major
-copy, again as before. Pooling and the backward scatter keep the cached
-:func:`im2col_indices`.
+Gather layout. Every forward patch matrix (``conv2d``, the segment
+engine's faulted conv, max and average pooling) is one ``np.take``
+through a cached flat index (:meth:`Window.gather`). The index addresses
+one image flattened to ``C*H*W`` values plus a trailing ``+0.0``;
+padding positions point at that zero, so the padding is folded into the
+gather and no padded copy is made (with ``padding == 0`` the take reads
+the images directly). The index is kept in two orders:
+
+* positions-major ``(positions, features)``: the take yields
+  ``(batch, positions, features)``, and ``conv2d`` hands einsum its
+  ``(batch, features, positions)`` transposed view. einsum lowers
+  ``of,bfp->bop`` to one GEMM on that operand reshaped to
+  ``(batch*positions, features)``, and in this layout the reshape is free.
+* features-major ``(features, positions)``: the take reads the images
+  transposed and yields ``(features, positions, rows)``, the layout of
+  the indexed gather ``x_padded[:, k, i, j]`` with the rows innermost.
+  The segment engine's conv and the pooling ops use it, with rows
+  ``batch``, ``k*batch`` or ``batch*channels`` (pooling is the
+  ``C = 1`` case). With one image or one output position it is also
+  ``conv2d``'s ``(features, batch, positions)`` operand, whose einsum
+  reshape is again a view.
+
+Either way the take copies exactly the bytes the indexed gather did (NaN
+payloads and ``-0.0`` included) into the layout each einsum call and
+reduction already had, so GEMM calls and outputs are bit-identical to
+it. The weight gradient contracts over ``(batch, positions)`` and gets a
+features-major copy; the backward scatter keeps :func:`im2col_indices`
+and its ``np.add.at`` order.
 
 Layout convention: images are NCHW (batch, channels, height, width) —
 the layout the paper's ResNet-18 uses.
@@ -43,15 +55,114 @@ __all__ = [
     "softmax",
     "log_softmax",
     "im2col_indices",
+    "im2col_window",
+    "Window",
 ]
 
 
-#: gather-index cache — the indices depend only on the geometry below, not
-#: on the batch size or data, so every forward pass of a fixed architecture
-#: hits after the first. Bounded FIFO; entries are marked read-only since
-#: they are shared across callers.
-_IM2COL_CACHE: dict[tuple[int, int, int, int, int, int, int], tuple] = {}
+#: window-geometry cache — a :class:`Window` depends only on the key below,
+#: not on the batch size or data, so every forward pass of a fixed
+#: architecture hits after the first. Bounded FIFO; the index arrays are
+#: marked read-only since they are shared across callers.
+_IM2COL_CACHE: dict[tuple[int, int, int, int, int, int, int], Window] = {}
 _IM2COL_CACHE_LIMIT = 128
+
+
+class Window:
+    """The gather indices of one window geometry over ``(C, H, W)`` images.
+
+    ``k, i, j`` index channel, row and column of the padded image, each
+    broadcast to ``(C*kh*kw, out_h*out_w)``; the backward scatters use
+    them. The flat forward indices are built from them on first use.
+    """
+
+    def __init__(
+        self, channels: int, height: int, width: int, kh: int, kw: int, stride: int, padding: int
+    ) -> None:
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        if padding < 0:
+            raise ValueError(f"padding must be >= 0, got {padding}")
+        out_h = (height + 2 * padding - kh) // stride + 1
+        out_w = (width + 2 * padding - kw) // stride + 1
+        if out_h <= 0 or out_w <= 0:
+            raise ValueError(
+                f"kernel ({kh}x{kw}, stride={stride}, padding={padding}) larger than "
+                f"padded input ({height}x{width})"
+            )
+        i0 = np.tile(np.repeat(np.arange(kh), kw), channels)
+        i1 = stride * np.repeat(np.arange(out_h), out_w)
+        j0 = np.tile(np.arange(kw), kh * channels)
+        j1 = stride * np.tile(np.arange(out_w), out_h)
+        self.i = i0.reshape(-1, 1) + i1.reshape(1, -1)
+        self.j = j0.reshape(-1, 1) + j1.reshape(1, -1)
+        self.k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
+        for index in (self.k, self.i, self.j):
+            index.flags.writeable = False
+        self.image_shape = (channels, height, width)
+        self.padding = padding
+        self.out_h, self.out_w = out_h, out_w
+        self._flat: dict[bool, np.ndarray] = {}
+
+    def _flat_index(self, features_major: bool) -> np.ndarray:
+        """Flat gather index into one image's ``C*H*W`` values plus one ``+0.0``.
+
+        Padding positions hold ``C*H*W``, the trailing zero. Shape
+        ``(C*kh*kw, P)`` features-major, else its C-contiguous transpose
+        ``(P, C*kh*kw)``; built on first request of each order, read-only.
+        """
+        index = self._flat.get(features_major)
+        if index is None:
+            channels, height, width = self.image_shape
+            rows, cols = self.i - self.padding, self.j - self.padding
+            inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+            index = np.where(inside, (self.k * height + rows) * width + cols, channels * height * width)
+            index = np.ascontiguousarray(index if features_major else index.T, dtype=np.intp)
+            index.flags.writeable = False
+            self._flat[features_major] = index
+        return index
+
+    def gather(self, data: np.ndarray, features_major: bool) -> np.ndarray:
+        """Patch matrix of a stack of ``(C, H, W)`` images by one ``np.take``.
+
+        ``data`` holds ``rows`` whole images in C order (``(..., C, H, W)``,
+        or NCHW channels as ``C = 1`` images). Returns a C-contiguous
+        ``(C*kh*kw, P, rows)`` array features-major, else
+        ``(rows, P, C*kh*kw)``; see the module docstring.
+        """
+        channels, height, width = self.image_shape
+        size = channels * height * width
+        images = data.reshape(-1, size)
+        if features_major or self.padding:
+            # One copy of the images, transposed for the features-major
+            # take; with padding each image ends in the zero the index
+            # points at.
+            rows, columns = len(images), size + (1 if self.padding else 0)
+            source = np.empty((columns, rows) if features_major else (rows, columns), dtype=data.dtype)
+            view = source.T if features_major else source
+            view[:, :size] = images
+            view[:, size:] = 0
+            images = source
+        # The index is in range by construction; "wrap" is numpy's fastest
+        # take loop and never wraps here.
+        return np.take(images, self._flat_index(features_major), axis=0 if features_major else 1, mode="wrap")
+
+
+def im2col_window(x_shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int) -> Window:
+    """The cached :class:`Window` for images of shape ``x_shape[-3:]``.
+
+    Leading axes (batch, configurations) do not enter the geometry. Raises
+    ``ValueError`` for ``stride < 1``, ``padding < 0`` or a kernel larger
+    than the padded input.
+    """
+    key = (*x_shape[-3:], kh, kw, stride, padding)
+    window = _IM2COL_CACHE.get(key)
+    if window is None:
+        window = Window(*key)
+        if len(_IM2COL_CACHE) >= _IM2COL_CACHE_LIMIT:
+            _IM2COL_CACHE.pop(next(iter(_IM2COL_CACHE)))
+        _IM2COL_CACHE[key] = window
+    return window
 
 
 def im2col_indices(
@@ -59,38 +170,12 @@ def im2col_indices(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Compute the gather indices that turn an NCHW image into patch rows.
 
-    Returns ``(k, i, j, out_h, out_w)`` where ``k, i, j`` index channel, row
-    and column respectively, each of shape ``(C*kh*kw, out_h*out_w)``.
-    Results are cached on the geometry (batch size is irrelevant), so the
-    returned index arrays are shared and read-only.
+    Returns ``(k, i, j, out_h, out_w)`` of the cached :func:`im2col_window`
+    (batch size is irrelevant), so the index arrays are shared and
+    read-only.
     """
-    _, channels, height, width = x_shape
-    out_h = (height + 2 * padding - kh) // stride + 1
-    out_w = (width + 2 * padding - kw) // stride + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"kernel ({kh}x{kw}, stride={stride}, padding={padding}) larger than "
-            f"padded input ({height}x{width})"
-        )
-    key = (channels, height, width, kh, kw, stride, padding)
-    cached = _IM2COL_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    i0 = np.repeat(np.arange(kh), kw)
-    i0 = np.tile(i0, channels)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kw), kh * channels)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(channels), kh * kw).reshape(-1, 1)
-    for index in (k, i, j):
-        index.flags.writeable = False
-    if len(_IM2COL_CACHE) >= _IM2COL_CACHE_LIMIT:
-        _IM2COL_CACHE.pop(next(iter(_IM2COL_CACHE)))
-    _IM2COL_CACHE[key] = (k, i, j, out_h, out_w)
-    return k, i, j, out_h, out_w
+    window = im2col_window(x_shape, kh, kw, stride, padding)
+    return window.k, window.i, window.j, window.out_h, window.out_w
 
 
 def zero_pad2d(data: np.ndarray, padding: int) -> np.ndarray:
@@ -133,28 +218,25 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     if in_c != w_in_c:
         raise ValueError(f"input has {in_c} channels but weight expects {w_in_c}")
 
-    x_padded = zero_pad2d(x.data, padding)
-    k, i, j, out_h, out_w = im2col_indices(x.shape, kh, kw, stride, padding)
+    window = im2col_window(x.shape, kh, kw, stride, padding)
+    out_h, out_w = window.out_h, window.out_w
 
     # cols: (batch, C*kh*kw, out_h*out_w), a transposed view of one
-    # contiguous copy of the (B, C, out_h, out_w, kh, kw) window view; see
-    # the module docstring for why the copy's order is the one below.
-    windows = np.lib.stride_tricks.sliding_window_view(x_padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
+    # contiguous take; see the module docstring for the two orders.
     positions = out_h * out_w
     if batch == 1 or positions == 1:
-        patches = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+        patches = window.gather(x.data, features_major=True)
         cols = patches.reshape(-1, batch, positions).transpose(1, 0, 2)
     else:
-        patches = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
-        cols = patches.reshape(batch, positions, -1).transpose(0, 2, 1)
+        patches = window.gather(x.data, features_major=False)
+        cols = patches.transpose(0, 2, 1)
     w_mat = weight.data.reshape(out_c, -1)  # (out_c, C*kh*kw)
     out = np.einsum("of,bfp->bop", w_mat, cols, optimize=True)
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1)
     out_data = out.reshape(batch, out_c, out_h, out_w)
 
-    padded_shape = x_padded.shape
+    padded_shape = (batch, in_c, x.shape[2] + 2 * padding, x.shape[3] + 2 * padding)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def _backward(grad: np.ndarray) -> None:
@@ -172,7 +254,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
             gcols = np.einsum("of,bop->bfp", w_mat, grad_mat, optimize=True)
             gx_padded = np.zeros(padded_shape, dtype=x.dtype)
             # Scatter-add patch gradients back into the padded image.
-            np.add.at(gx_padded, (slice(None), k, i, j), gcols)
+            np.add.at(gx_padded, (slice(None), window.k, window.i, window.j), gcols)
             if padding:
                 gx = gx_padded[:, :, padding:-padding, padding:-padding]
             else:
@@ -185,25 +267,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     return Tensor._make(out_data, parents, _backward, "conv2d", flops=conv_flops)
 
 
+def _pool_cols(x: Tensor, kernel_size: int, stride: int | None) -> tuple[Window, np.ndarray]:
+    """Pooling windows of every channel: the features-major take with ``C = 1``.
+
+    Returns the window and ``cols``, a ``(B*C, k*k, P)`` view with the rows
+    innermost in memory. ``stride=None`` means ``kernel_size``.
+    """
+    _, _, height, width = x.shape
+    stride = kernel_size if stride is None else stride
+    window = im2col_window((1, height, width), kernel_size, kernel_size, stride, 0)
+    return window, window.gather(x.data, features_major=True).transpose(2, 0, 1)
+
+
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
     """Max pooling over non-overlapping (or strided) windows of an NCHW tensor."""
-    stride = stride or kernel_size
     batch, channels, height, width = x.shape
-    k, i, j, out_h, out_w = im2col_indices((batch, 1, height, width), kernel_size, kernel_size, stride, 0)
-
-    # View each channel independently: (batch*channels, 1, H, W)
-    flat = x.data.reshape(batch * channels, 1, height, width)
-    cols = flat[:, k, i, j]  # (B*C, k*k, P)
+    window, cols = _pool_cols(x, kernel_size, stride)
     arg = cols.argmax(axis=1)  # (B*C, P)
     out = np.take_along_axis(cols, arg[:, None, :], axis=1)[:, 0, :]
-    out_data = out.reshape(batch, channels, out_h, out_w)
+    out_data = out.reshape(batch, channels, window.out_h, window.out_w)
 
     def _backward(grad: np.ndarray) -> None:
         grad_flat = grad.reshape(batch * channels, -1)  # (B*C, P)
         gcols = np.zeros_like(cols)
         np.put_along_axis(gcols, arg[:, None, :], grad_flat[:, None, :], axis=1)
         gx = np.zeros((batch * channels, 1, height, width), dtype=x.dtype)
-        np.add.at(gx, (slice(None), k, i, j), gcols)
+        np.add.at(gx, (slice(None), window.k, window.i, window.j), gcols)
         x._accumulate(gx.reshape(x.shape))
 
     return Tensor._make(
@@ -213,21 +302,17 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
 
 def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
     """Average pooling over windows of an NCHW tensor."""
-    stride = stride or kernel_size
     batch, channels, height, width = x.shape
-    k, i, j, out_h, out_w = im2col_indices((batch, 1, height, width), kernel_size, kernel_size, stride, 0)
-
-    flat = x.data.reshape(batch * channels, 1, height, width)
-    cols = flat[:, k, i, j]
+    window, cols = _pool_cols(x, kernel_size, stride)
     out = cols.mean(axis=1)
-    out_data = out.reshape(batch, channels, out_h, out_w)
-    window = kernel_size * kernel_size
+    out_data = out.reshape(batch, channels, window.out_h, window.out_w)
+    area = kernel_size * kernel_size
 
     def _backward(grad: np.ndarray) -> None:
-        grad_flat = grad.reshape(batch * channels, 1, -1) / window
+        grad_flat = grad.reshape(batch * channels, 1, -1) / area
         gcols = np.broadcast_to(grad_flat, cols.shape)
         gx = np.zeros((batch * channels, 1, height, width), dtype=x.dtype)
-        np.add.at(gx, (slice(None), k, i, j), gcols)
+        np.add.at(gx, (slice(None), window.k, window.i, window.j), gcols)
         x._accumulate(gx.reshape(x.shape))
 
     return Tensor._make(

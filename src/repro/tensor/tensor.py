@@ -385,7 +385,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out_data = np.where(mask, self.data, 0.0).astype(self.data.dtype)
+        out_data = np.where(mask, self.data, self.data.dtype.type(0))
 
         def _backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask)
@@ -394,7 +394,7 @@ class Tensor:
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
         mask = self.data > 0
-        out_data = np.where(mask, self.data, negative_slope * self.data).astype(self.data.dtype)
+        out_data = np.where(mask, self.data, negative_slope * self.data).astype(self.data.dtype, copy=False)
 
         def _backward(grad: np.ndarray) -> None:
             self._accumulate(grad * np.where(mask, 1.0, negative_slope).astype(grad.dtype))

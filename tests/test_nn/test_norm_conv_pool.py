@@ -106,3 +106,10 @@ class TestPoolLayers:
     def test_invalid_kernel_raises(self):
         with pytest.raises(ValueError):
             MaxPool2d(0)
+
+    @pytest.mark.parametrize("layer", [MaxPool2d, AvgPool2d])
+    def test_zero_stride_is_not_kernel_size(self, layer):
+        pool = layer(2, stride=0)
+        assert pool.stride == 0 and layer(2).stride == 2
+        with pytest.raises(ValueError, match="stride must be >= 1, got 0"):
+            pool(Tensor(np.zeros((1, 1, 4, 4), dtype=np.float32)))

@@ -46,6 +46,42 @@ class TestElementwiseGrads:
         grad_check(lambda x: x.clip(-2.5, 2.5), [x], rtol=1e-3, atol=1e-6)
 
 
+class TestRectifierBits:
+    """relu and leaky_relu return the values of ``np.where(...).astype(x.dtype)``
+    without its second copy, at the uint level."""
+
+    @staticmethod
+    def _special(dtype, uint):
+        values = np.array([1.5, -2.0, 0.0, -0.0, np.inf, -np.inf, np.nan, np.nan, np.nan, 3e-39], dtype=dtype)
+        bits = values.view(uint)
+        exponent = np.asarray(np.inf, dtype=dtype).view(uint)
+        sign = np.asarray(-0.0, dtype=dtype).view(uint)
+        bits[6] |= uint(7)  # quiet NaN with a payload
+        bits[7] = exponent | uint(1)  # signalling NaN
+        bits[8] = sign | exponent | uint(0b1011)  # negative NaN with a payload
+        return values
+
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_relu_matches_old_expression(self, dtype, uint):
+        x = self._special(dtype, uint)
+        with np.errstate(invalid="ignore"):
+            want = np.where(x > 0, x, 0.0).astype(x.dtype)
+            got = Tensor(x).relu().data
+        assert got.dtype == x.dtype and np.array_equal(got.view(uint), want.view(uint))
+
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_leaky_relu_matches_old_expression(self, dtype, uint):
+        x = self._special(dtype, uint)
+        with np.errstate(invalid="ignore"):
+            want = np.where(x > 0, x, 0.1 * x).astype(x.dtype)
+            got = Tensor(x).leaky_relu(0.1).data
+        assert got.dtype == x.dtype and np.array_equal(got.view(uint), want.view(uint))
+
+    def test_integer_relu_keeps_dtype(self):
+        out = Tensor(np.array([-3, 0, 4], dtype=np.int32)).relu().data
+        assert out.dtype == np.int32 and out.tolist() == [0, 0, 4]
+
+
 class TestBinaryGrads:
     @pytest.mark.parametrize(
         "fn",

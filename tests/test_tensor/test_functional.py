@@ -167,3 +167,22 @@ class TestIm2Col:
     def test_invalid_geometry_raises(self):
         with pytest.raises(ValueError):
             im2col_indices((1, 1, 2, 2), 5, 5, 1, 0)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_raises(self, stride):
+        x, w = _t((1, 1, 4, 4)), _t((1, 1, 3, 3))
+        with pytest.raises(ValueError, match=f"stride must be >= 1, got {stride}"):
+            conv2d(x, w, stride=stride)
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            max_pool2d(x, 2, stride)
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            avg_pool2d(x, 2, stride)
+
+    def test_negative_padding_raises(self):
+        with pytest.raises(ValueError, match="padding must be >= 0, got -1"):
+            conv2d(_t((1, 1, 4, 4)), _t((1, 1, 3, 3)), padding=-1)
+
+    def test_only_none_stride_means_kernel_size(self):
+        x = _t((1, 1, 4, 4))
+        assert max_pool2d(x, 2, None).shape == avg_pool2d(x, 2).shape == (1, 1, 2, 2)
+        assert max_pool2d(x, 2, 1).shape == (1, 1, 3, 3)
