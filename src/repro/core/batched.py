@@ -4,10 +4,17 @@ A campaign's cost is #configurations × one faulted forward pass.
 :class:`BatchedNetworkEvaluator` runs ``k`` fault configurations through
 the model's verified forward chain (:func:`repro.core.prefix.forward_chain`:
 MLP, Sequential, LeNet, ResNet) in one sweep. The chain runs *shared* up to
-the first faulted segment, the ``k`` faulted conv/dense/norm tensors are
-stacked and contracted in one einsum over the shared input, and every
-untouched downstream module runs once on the ``k`` diverged activations
-folded into the batch axis.
+the first faulted segment; from there on the activations carry a leading
+configurations axis.
+
+The rule that keeps the sweep bit-identical to ``apply_configuration`` +
+``model(x)``, the standard path: every GEMM runs in the standard path's
+call shape. A Conv2d calls :func:`~repro.tensor.functional.conv2d_forward`,
+``conv2d``'s own kernel, once per configuration row; a Dense broadcasts
+``np.matmul`` over the configurations axis, which loops one ``(B, in) @
+(in, out)`` GEMM per row. Only parameter-free leaves (ReLU, pooling,
+flatten), which are elementwise or per-sample, run once over the ``k``
+rows folded into the batch axis.
 
 Every fast path of :class:`~repro.core.injector.BayesianFaultInjector`
 goes through :meth:`BatchedNetworkEvaluator.run_segments`:
@@ -25,8 +32,8 @@ One row class skips it:
   of ``n`` parameters draws no flip with probability ``(1-p)^(32n)``, so
   at small ``p`` most single-layer samples of a small layer are golden.
 
-All of them are bit-identical to ``apply_configuration`` + ``model(x)``,
-the standard path — enforced by the differential fast-path tests.
+All of them are bit-identical to the standard path — enforced by the
+differential fast-path tests, on eval batches of one, two and more images.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 import repro.obs as obs
+import repro.obs.profile as obs_profile
 from repro.faults.configuration import FaultConfiguration
 from repro.nn.containers import Sequential
 from repro.nn.conv import Conv2d
@@ -41,10 +49,14 @@ from repro.nn.layers import Dense
 from repro.nn.models.resnet import BasicBlock
 from repro.nn.module import Module
 from repro.nn.norm import _BatchNorm
-from repro.tensor.functional import im2col_window
+from repro.tensor.functional import conv2d_forward
 from repro.tensor.tensor import Tensor, no_grad
 
 __all__ = ["BatchedNetworkEvaluator"]
+
+#: module types with an engine handler; any other module past the cut must
+#: be a parameter-free leaf, the only kind that folds ``k`` into the batch
+_HANDLED = (Dense, Conv2d, _BatchNorm, BasicBlock, Sequential)
 
 
 class _State:
@@ -66,29 +78,22 @@ class _State:
 class BatchedNetworkEvaluator:
     """Evaluate many fault configurations of a network in one sweep.
 
-    Three mechanisms keep the sweep bit-identical to ``k`` sequential
-    faulted forwards while doing far less work:
-
-    * the chain runs *once*, shared, up to the first faulted segment (the
-      golden activation entering it comes from the golden trace — clean
-      prefix reuse for every later sweep);
-    * a faulted Conv2d/Dense/BatchNorm contracts all ``k`` stacked faulted
-      parameter tensors against the shared input in one einsum/GEMM
-      (conv builds its patch matrix with one ``np.take`` through the
-      cached flat index of :func:`~repro.tensor.functional.im2col_window`,
-      shared across configurations, or over the folded ``k*B`` rows of a
-      diverged input);
-    * every untouched module after the divergence point runs once with the
-      ``k`` axis folded into the batch axis — valid because eval-mode
-      modules are batch-independent.
+    The chain runs *once*, shared, up to the first faulted segment (the
+    golden activation entering it comes from the golden trace — clean
+    prefix reuse for every later sweep). Past it, each Conv2d, Dense and
+    BatchNorm runs one handler, faulted or not, on a ``(k, ...)`` stack of
+    row parameters: faulted copies of a fault target, a zero-copy
+    broadcast of any other parameter. Sequential and BasicBlock are
+    descended into; see the module docstring for the bit-identity rule.
 
     Construction runs no forward: it reads the verified chain and the
     golden activation entering the cut from the injector's
     :class:`~repro.core.prefix.GoldenTrace` (whose first request runs and
     verifies the chain, once per trace), and assigns every fault target to
     the chain step owning it. It raises when the model cannot be
-    decomposed-and-verified or the campaign has non-parameter surfaces, so
-    callers can fall back to the standard path.
+    decomposed-and-verified, a module past the cut has no handler, or the
+    campaign has non-parameter surfaces, so callers can fall back to the
+    standard path.
     """
 
     def __init__(self, injector) -> None:
@@ -114,27 +119,17 @@ class BatchedNetworkEvaluator:
             )
             if owner is None:
                 raise ValueError(f"target {target!r} not owned by any chain step")
-            self._check_touched_modules(steps[owner].module, steps[owner].name, target)
             self.owners[target] = owner
         #: static prefix cut: the first chain step any fault target lives in
         self.cut = min(self.owners.values())
+        for step in steps[self.cut:]:
+            if step.module is None:
+                continue
+            for name, module in step.module.named_modules(f"{step.name}."):
+                if not isinstance(module, _HANDLED) and (module._modules or module._parameters):
+                    raise TypeError(f"no batched handler for {type(module).__name__} ({name!r})")
         #: golden activation entering ``steps[cut]``
         self.prefix = activations[self.cut]
-
-    def _check_touched_modules(self, module: Module, name: str, target: str) -> None:
-        """Ensure the leaf module owning ``target`` has a batched handler."""
-        leaf_types = (Dense, Conv2d, _BatchNorm)
-        if isinstance(module, leaf_types):
-            return
-        if isinstance(module, (Sequential, BasicBlock)):
-            for child_name, child in module._modules.items():
-                prefix = f"{name}.{child_name}"
-                if target.startswith(prefix + "."):
-                    self._check_touched_modules(child, prefix, target)
-                    return
-        raise TypeError(
-            f"no batched handler for faulted module {type(module).__name__} ({name!r})"
-        )
 
     # ------------------------------------------------------------------ #
     # evaluation
@@ -237,42 +232,37 @@ class BatchedNetworkEvaluator:
             if data.ndim > keep:
                 data = data.reshape(data.shape[: keep - 1] + (-1,))
             return _State(data, state.diverged)
-        if not self._touched(name):
-            if not state.diverged:
-                return _State(module(Tensor(state.data)).data, False)
-            if isinstance(module, Dense):
-                # Folding k into the batch axis would change the GEMM's row
-                # count, and BLAS kernel selection by M is not bit-stable.
-                # Broadcasting over the leading k axis keeps each slice the
-                # exact (B, in) @ (in, out) call the sequential path makes.
-                out = np.matmul(state.data, module.weight.data)
-                if module.bias is not None:
-                    out = out + module.bias.data
-                return _State(out, True)
-            return _State(self._fold(module, state.data), True)
+        if not state.diverged and not self._touched(name):
+            return _State(module(Tensor(state.data)).data, False)
         if isinstance(module, Dense):
-            return self._run_dense(module, name, state, configurations)
-        if isinstance(module, Conv2d):
-            return self._run_conv(module, name, state, configurations)
-        if isinstance(module, _BatchNorm):
-            return self._run_norm(module, name, state, configurations)
-        if isinstance(module, BasicBlock):
-            return self._run_block(module, name, state, configurations)
-        if isinstance(module, Sequential):
-            for child_name, child in module._modules.items():
-                state = self._run_module(child, f"{name}.{child_name}", state, configurations)
-            return state
-        raise TypeError(  # pragma: no cover — construction validates this
-            f"no batched handler for faulted module {type(module).__name__}"
-        )
+            handler = self._run_dense
+        elif isinstance(module, Conv2d):
+            handler = self._run_conv
+        elif isinstance(module, _BatchNorm):
+            handler = self._run_norm
+        elif isinstance(module, BasicBlock):
+            handler = self._run_block
+        elif isinstance(module, Sequential):
+            handler = self._run_sequential
+        else:  # a parameter-free leaf (construction checks)
+            return _State(self._fold(module, state.data), True)
+        # Handlers run outside Module.__call__, where profile_module's hooks
+        # bill layers; bill the layer to the profiler here instead.
+        profiler = obs_profile.ACTIVE
+        if profiler is None:
+            return handler(module, name, state, configurations)
+        profiler._layer_enter(name)
+        state = handler(module, name, state, configurations)
+        profiler._layer_exit(name)
+        return state
 
     @staticmethod
     def _fold(module: Module, data: np.ndarray, /) -> np.ndarray:
-        """Run an untouched module once over the folded ``(k*B, ...)`` batch.
+        """Run a parameter-free leaf once over the folded ``(k*B, ...)`` batch.
 
-        Bit-identical to ``k`` separate calls because every eval-mode module
-        here is batch-independent (elementwise, per-sample pooling, or
-        frozen-statistics normalisation).
+        Bit-identical to ``k`` separate calls because such a leaf is
+        elementwise (ReLU) or per-sample (pooling, flatten): no GEMM, no
+        reduction across samples.
         """
         k, batch = data.shape[0], data.shape[1]
         folded = data.reshape((k * batch,) + data.shape[2:])
@@ -282,14 +272,17 @@ class BatchedNetworkEvaluator:
     def _stacked_parameter(
         self, configurations: list[FaultConfiguration], name: str, golden: np.ndarray
     ) -> np.ndarray:
-        """(k, *shape) faulted copies of one parameter.
+        """(k, *shape) row copies of one parameter.
 
-        All rows' sparse masks are applied in one fancy-index XOR over the
-        flattened stack. Each row's elements are unique, so every
-        ``(row, element)`` pair is too, and the XOR equals a per-row one
-        exactly.
+        A parameter that is no fault target is a zero-copy broadcast of the
+        golden array. A target's rows are faulted copies: all rows' sparse
+        masks are applied in one fancy-index XOR over the flattened stack.
+        Each row's elements are unique, so every ``(row, element)`` pair is
+        too, and the XOR equals a per-row one exactly.
         """
         k = len(configurations)
+        if name not in self.owners:
+            return np.broadcast_to(golden, (k,) + golden.shape)
         stack = np.empty((k,) + golden.shape, dtype=golden.dtype)
         stack[...] = golden
         bits = stack.reshape(-1).view(np.uint32)
@@ -309,8 +302,8 @@ class BatchedNetworkEvaluator:
     ) -> _State:
         weights = self._stacked_parameter(configurations, f"{name}.weight", module.weight.data)
         # (B, in) @ (k, in, out) and (k, B, in) @ (k, in, out) both broadcast
-        # to (k, B, out), each k-slice an independent GEMM — bit-identical to
-        # the sequential x @ W.
+        # to (k, B, out); matmul loops one (B, in) @ (in, out) GEMM per row,
+        # the sequential x @ W call.
         out = np.matmul(state.data, weights)
         if module.bias is not None:
             biases = self._stacked_parameter(configurations, f"{name}.bias", module.bias.data)
@@ -320,26 +313,17 @@ class BatchedNetworkEvaluator:
     def _run_conv(
         self, module: Conv2d, name: str, state: _State, configurations: list[FaultConfiguration]
     ) -> _State:
-        weights = self._stacked_parameter(configurations, f"{name}.weight", module.weight.data)
         k = len(configurations)
-        size, stride, padding = module.kernel_size, module.stride, module.padding
-        data = state.data
-        window = im2col_window(data.shape, size, size, stride, padding)
-        w_mat = weights.reshape(k, module.out_channels, -1)
-        # (C*kh*kw, P, rows): one take for all k, rows innermost in memory
-        # as the indexed gather laid them out
-        patches = window.gather(data, features_major=True)
-        if state.diverged:
-            cols = patches.reshape(patches.shape[:2] + data.shape[:2]).transpose(2, 3, 0, 1)  # (k, B, C*kh*kw, P)
-            out = np.einsum("kof,kbfp->kbop", w_mat, cols, optimize=True)
-        else:
-            cols = patches.transpose(2, 0, 1)  # (B, C*kh*kw, P)
-            out = np.einsum("kof,bfp->kbop", w_mat, cols, optimize=True)
+        inputs = state.data if state.diverged else [state.data] * k
+        weights = self._stacked_parameter(configurations, f"{name}.weight", module.weight.data)
+        biases = [None] * k
         if module.bias is not None:
             biases = self._stacked_parameter(configurations, f"{name}.bias", module.bias.data)
-            out = out + biases[:, None, :, None]
-        batch = data.shape[1] if state.diverged else data.shape[0]
-        return _State(out.reshape(k, batch, module.out_channels, window.out_h, window.out_w), True)
+        rows = [
+            conv2d_forward(x, weight, bias, module.stride, module.padding)[0]
+            for x, weight, bias in zip(inputs, weights, biases)
+        ]
+        return _State(np.stack(rows), True)
 
     def _run_norm(
         self, module: _BatchNorm, name: str, state: _State, configurations: list[FaultConfiguration]
@@ -347,14 +331,23 @@ class BatchedNetworkEvaluator:
         shape = (1, module.num_features) + (1,) * (len(module._param_shape) - 1)
         mean = module.running_mean.reshape(shape)
         var = module.running_var.reshape(shape)
-        # Mirror _BatchNorm.forward exactly: eps is a weak scalar in both.
-        normalised = (state.data - mean) / np.sqrt(var + module.eps)
+        # Mirror _BatchNorm.forward's ops exactly (eps is a weak scalar in
+        # both); the in-place ones compute the same bits with fewer copies.
+        normalised = state.data - mean
+        normalised /= np.sqrt(var + module.eps)
         gammas = self._stacked_parameter(configurations, f"{name}.weight", module.weight.data)
         betas = self._stacked_parameter(configurations, f"{name}.bias", module.bias.data)
-        k = len(configurations)
-        stacked_shape = (k, 1) + shape[1:]
-        out = normalised * gammas.reshape(stacked_shape) + betas.reshape(stacked_shape)
+        stacked_shape = (len(configurations), 1) + shape[1:]
+        out = normalised * gammas.reshape(stacked_shape)
+        out += betas.reshape(stacked_shape)
         return _State(out, True)
+
+    def _run_sequential(
+        self, module: Sequential, name: str, state: _State, configurations: list[FaultConfiguration]
+    ) -> _State:
+        for child_name, child in module._modules.items():
+            state = self._run_module(child, f"{name}.{child_name}", state, configurations)
+        return state
 
     def _run_block(
         self, module: BasicBlock, name: str, state: _State, configurations: list[FaultConfiguration]
@@ -369,3 +362,4 @@ class BatchedNetworkEvaluator:
         # broadcasts over the configurations axis bit-identically.
         merged = _State(out.data + shortcut.data, out.diverged or shortcut.diverged)
         return self._run_module(module.relu2, f"{name}.relu2", merged, configurations)
+

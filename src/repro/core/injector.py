@@ -586,7 +586,7 @@ class BayesianFaultInjector:
         logits are bit-identical to the sequential faulted forwards — so the
         recorded chains, posterior, and digest all match exactly. Only the
         evaluation order changes: configurations are scored ``_FAST_CHUNK``
-        at a time through one stacked-einsum sweep.
+        at a time through one segment-engine sweep.
         """
         p, stream = spec.p, spec.stream
         if spec.chains <= 0:

@@ -133,9 +133,8 @@ class Session:
             self.server = StatusServer(*serve, tracker=status, labels=labels)
         self.status = status
         self.recorder = recorder
-        sse = self.server.sse if self.server is not None else None
         self.sinks: tuple[ProgressSink, ...] = tuple(
-            sink for sink in (*sinks, status, sse, recorder) if sink is not None
+            sink for sink in (*sinks, status, self.server, recorder) if sink is not None
         )
         self.signal_dump = signal_dump
         self.verbosity = verbosity

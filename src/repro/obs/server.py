@@ -21,8 +21,8 @@ and exposes read-only endpoints:
   quiet);
 * ``/healthz`` — liveness probe.
 
-The server never *drives* anything: :class:`StatusTracker` and
-:class:`SseSink` are ordinary progress sinks of the
+The server never *drives* anything: :class:`StatusTracker` and the
+server itself are ordinary progress sinks of the
 :class:`~repro.obs.Session` that owns the server, all endpoint handlers
 only read snapshots, and nothing here touches an RNG stream — a campaign
 run with ``--serve`` is bit-identical to one without (enforced by parity
@@ -49,12 +49,15 @@ from repro.obs.schema import artifact_stamp
 from repro.utils.logging import get_logger
 from repro.utils.persist import sanitize_nonfinite
 
-__all__ = ["StatusTracker", "SseSink", "StatusServer", "parse_endpoint"]
+__all__ = ["StatusTracker", "StatusServer", "parse_endpoint"]
 
 _LOGGER = get_logger("obs.server")
 
 #: completion timestamps kept for the windowed throughput / ETA estimate
 DEFAULT_RATE_WINDOW = 64
+
+#: frames each ``/events`` subscriber may have queued before it drops events
+SSE_QUEUE_SIZE = 256
 
 
 def parse_endpoint(spec: str) -> tuple[str, int]:
@@ -236,79 +239,20 @@ class StatusTracker(ProgressSink):
 
 
 # ---------------------------------------------------------------------- #
-# SSE fan-out
-# ---------------------------------------------------------------------- #
-
-
-class SseSink(ProgressSink):
-    """Bridge the progress stream to Server-Sent-Events subscribers.
-
-    Each subscriber owns a bounded queue; a consumer that stops reading
-    loses events (counted in :attr:`dropped`) instead of exerting any
-    backpressure on the campaign. ``None`` is the shutdown sentinel.
-    """
-
-    def __init__(self, max_queue: int = 256) -> None:
-        self._lock = threading.Lock()
-        self._subscribers: list[queue.Queue] = []
-        self._max_queue = max_queue
-        self.dropped = 0
-        self.delivered = 0
-        self._closed = False
-
-    def subscribe(self) -> queue.Queue:
-        client: queue.Queue = queue.Queue(maxsize=self._max_queue)
-        with self._lock:
-            if self._closed:
-                client.put_nowait(None)
-            else:
-                self._subscribers.append(client)
-        return client
-
-    def unsubscribe(self, client: queue.Queue) -> None:
-        with self._lock:
-            if client in self._subscribers:
-                self._subscribers.remove(client)
-
-    @property
-    def subscribers(self) -> int:
-        with self._lock:
-            return len(self._subscribers)
-
-    def emit(self, event: ProgressEvent) -> None:
-        with self._lock:
-            clients = list(self._subscribers)
-        if not clients:
-            return
-        frame = json.dumps(event.to_dict(), allow_nan=False)
-        for client in clients:
-            try:
-                client.put_nowait(frame)
-                self.delivered += 1
-            except queue.Full:
-                self.dropped += 1
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            clients = list(self._subscribers)
-            self._subscribers.clear()
-        for client in clients:
-            try:
-                client.put_nowait(None)
-            except queue.Full:
-                pass  # the pending backlog still ends with a dead connection
-
-
-# ---------------------------------------------------------------------- #
 # the HTTP server
 # ---------------------------------------------------------------------- #
 
 _OPENMETRICS_CONTENT_TYPE = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 
-class StatusServer:
+class StatusServer(ProgressSink):
     """Background-thread HTTP server for live campaign telemetry.
+
+    The server is also the progress sink behind ``/events``: each SSE
+    subscriber owns a bounded queue of :data:`SSE_QUEUE_SIZE` frames, and a
+    consumer that stops reading loses events (counted in
+    :attr:`sse_dropped`) instead of exerting any backpressure on the
+    campaign. ``None`` is the shutdown sentinel.
 
     Parameters
     ----------
@@ -319,9 +263,7 @@ class StatusServer:
         The :class:`StatusTracker` backing ``/status`` and ``/estimates``
         (optional — without one ``/status`` reports ``tracker: null`` and
         ``/estimates`` returns 503). Its estimator's per-stratum
-        posterior families are also appended to ``/metrics``. The
-        server's own :class:`SseSink` (:attr:`sse`) backs ``/events``;
-        publish events to it to stream them.
+        posterior families are also appended to ``/metrics``.
     labels:
         Labels attached to every ``/metrics`` sample (campaign id, pid).
     keepalive_s:
@@ -340,7 +282,10 @@ class StatusServer:
         self.host = host
         self.requested_port = port
         self.tracker = tracker
-        self.sse = SseSink()
+        self._sse_lock = threading.Lock()
+        self._sse_clients: list[queue.Queue] = []
+        self._sse_closed = False
+        self.sse_dropped = 0
         self.labels = dict(labels or {})
         self.keepalive_s = keepalive_s
         self._httpd: ThreadingHTTPServer | None = None
@@ -386,7 +331,7 @@ class StatusServer:
         if self._httpd is None:
             return
         self._stopping.set()
-        self.sse.close()
+        self.close()
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
@@ -399,6 +344,52 @@ class StatusServer:
 
     def __exit__(self, *_exc) -> None:
         self.stop()
+
+    # -- SSE fan-out ---------------------------------------------------- #
+
+    def subscribe(self) -> queue.Queue:
+        """A new ``/events`` client queue (pre-terminated after :meth:`close`)."""
+        client: queue.Queue = queue.Queue(maxsize=SSE_QUEUE_SIZE)
+        with self._sse_lock:
+            if self._sse_closed:
+                client.put_nowait(None)
+            else:
+                self._sse_clients.append(client)
+        return client
+
+    def unsubscribe(self, client: queue.Queue) -> None:
+        with self._sse_lock:
+            if client in self._sse_clients:
+                self._sse_clients.remove(client)
+
+    @property
+    def sse_subscribers(self) -> int:
+        with self._sse_lock:
+            return len(self._sse_clients)
+
+    def emit(self, event: ProgressEvent) -> None:
+        with self._sse_lock:
+            clients = list(self._sse_clients)
+        if not clients:
+            return
+        frame = json.dumps(event.to_dict(), allow_nan=False)
+        for client in clients:
+            try:
+                client.put_nowait(frame)
+            except queue.Full:
+                self.sse_dropped += 1
+
+    def close(self) -> None:
+        """End every SSE stream; later subscribers get the sentinel at once."""
+        with self._sse_lock:
+            self._sse_closed = True
+            clients = list(self._sse_clients)
+            self._sse_clients.clear()
+        for client in clients:
+            try:
+                client.put_nowait(None)
+            except queue.Full:
+                pass  # the pending backlog still ends with a dead connection
 
     # -- endpoint payloads (handler delegates here) --------------------- #
 
@@ -422,8 +413,8 @@ class StatusServer:
         document["server"] = {
             "url": self.url,
             "uptime_s": (time.time() - self._started_wall) if self._started_wall else 0.0,
-            "sse_subscribers": self.sse.subscribers,
-            "sse_dropped": self.sse.dropped,
+            "sse_subscribers": self.sse_subscribers,
+            "sse_dropped": self.sse_dropped,
         }
         return document
 
@@ -491,7 +482,7 @@ def _make_handler(server: StatusServer):
                     pass
 
         def _serve_events(self) -> None:
-            client = server.sse.subscribe()
+            client = server.subscribe()
             try:
                 self.send_response(200)
                 self.send_header("Content-Type", "text/event-stream; charset=utf-8")
@@ -513,7 +504,7 @@ def _make_handler(server: StatusServer):
             except (BrokenPipeError, ConnectionResetError, OSError):
                 pass  # consumer disconnected; drop its queue and move on
             finally:
-                server.sse.unsubscribe(client)
+                server.unsubscribe(client)
                 self.close_connection = True
 
     return _Handler

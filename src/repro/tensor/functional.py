@@ -6,13 +6,13 @@ multiply. That keeps both the forward pass and the gradient fully
 vectorised, which matters because BDLFI campaigns run thousands of forward
 passes per probability point.
 
-Gather layout. Every forward patch matrix (``conv2d``, the segment
-engine's faulted conv, max and average pooling) is one ``np.take``
-through a cached flat index (:meth:`Window.gather`). The index addresses
-one image flattened to ``C*H*W`` values plus a trailing ``+0.0``;
-padding positions point at that zero, so the padding is folded into the
-gather and no padded copy is made (with ``padding == 0`` the take reads
-the images directly). The index is kept in two orders:
+Gather layout. Every forward patch matrix (``conv2d``, max and average
+pooling) is one ``np.take`` through a cached flat index
+(:meth:`Window.gather`). The index addresses one image flattened to
+``C*H*W`` values plus a trailing ``+0.0``; padding positions point at
+that zero, so the padding is folded into the gather and no padded copy
+is made (with ``padding == 0`` the take reads the images directly). The
+index is kept in two orders:
 
 * positions-major ``(positions, features)``: the take yields
   ``(batch, positions, features)``, and ``conv2d`` hands einsum its
@@ -22,11 +22,10 @@ the images directly). The index is kept in two orders:
 * features-major ``(features, positions)``: the take reads the images
   transposed and yields ``(features, positions, rows)``, the layout of
   the indexed gather ``x_padded[:, k, i, j]`` with the rows innermost.
-  The segment engine's conv and the pooling ops use it, with rows
-  ``batch``, ``k*batch`` or ``batch*channels`` (pooling is the
-  ``C = 1`` case). With one image or one output position it is also
-  ``conv2d``'s ``(features, batch, positions)`` operand, whose einsum
-  reshape is again a view.
+  The pooling ops use it with rows ``batch*channels`` (the ``C = 1``
+  case). With one image or one output position it is also ``conv2d``'s
+  ``(features, batch, positions)`` operand, whose einsum reshape is
+  again a view.
 
 Either way the take copies exactly the bytes the indexed gather did (NaN
 payloads and ``-0.0`` included) into the layout each einsum call and
@@ -49,6 +48,7 @@ __all__ = [
     "zero_pad2d",
     "pad2d",
     "conv2d",
+    "conv2d_forward",
     "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d",
@@ -151,7 +151,7 @@ class Window:
 def im2col_window(x_shape: tuple[int, ...], kh: int, kw: int, stride: int, padding: int) -> Window:
     """The cached :class:`Window` for images of shape ``x_shape[-3:]``.
 
-    Leading axes (batch, configurations) do not enter the geometry. Raises
+    Leading axes (the batch) do not enter the geometry. Raises
     ``ValueError`` for ``stride < 1``, ``padding < 0`` or a kernel larger
     than the padded input.
     """
@@ -207,11 +207,16 @@ def pad2d(x: Tensor, padding: int) -> Tensor:
     return Tensor._make(out_data, (x,), _backward, "pad2d")
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation) over an NCHW input.
+def conv2d_forward(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, stride: int, padding: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ndarray kernel of :func:`conv2d`'s forward.
 
-    ``weight`` has shape ``(out_channels, in_channels, kh, kw)`` and ``bias``
-    (optional) shape ``(out_channels,)``.
+    ``x`` is NCHW, ``weight`` ``(out_channels, in_channels, kh, kw)`` and
+    ``bias`` ``(out_channels,)`` or ``None``. Returns the NCHW output and
+    ``cols``, the ``(batch, C*kh*kw, P)`` patch matrix the weight gradient
+    reuses. The segment engine calls it once per configuration row, so a
+    faulted conv runs the same GEMM call as the standard path's.
     """
     batch, in_c, _, _ = x.shape
     out_c, w_in_c, kh, kw = weight.shape
@@ -219,24 +224,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise ValueError(f"input has {in_c} channels but weight expects {w_in_c}")
 
     window = im2col_window(x.shape, kh, kw, stride, padding)
-    out_h, out_w = window.out_h, window.out_w
-
     # cols: (batch, C*kh*kw, out_h*out_w), a transposed view of one
     # contiguous take; see the module docstring for the two orders.
-    positions = out_h * out_w
+    positions = window.out_h * window.out_w
     if batch == 1 or positions == 1:
-        patches = window.gather(x.data, features_major=True)
+        patches = window.gather(x, features_major=True)
         cols = patches.reshape(-1, batch, positions).transpose(1, 0, 2)
     else:
-        patches = window.gather(x.data, features_major=False)
+        patches = window.gather(x, features_major=False)
         cols = patches.transpose(0, 2, 1)
-    w_mat = weight.data.reshape(out_c, -1)  # (out_c, C*kh*kw)
+    w_mat = weight.reshape(out_c, -1)  # (out_c, C*kh*kw)
     out = np.einsum("of,bfp->bop", w_mat, cols, optimize=True)
     if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1)
-    out_data = out.reshape(batch, out_c, out_h, out_w)
+        out = out + bias.reshape(1, -1, 1)
+    return out.reshape(batch, out_c, window.out_h, window.out_w), cols
 
-    padded_shape = (batch, in_c, x.shape[2] + 2 * padding, x.shape[3] + 2 * padding)
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution (cross-correlation) over an NCHW input.
+
+    ``weight`` has shape ``(out_channels, in_channels, kh, kw)`` and ``bias``
+    (optional) shape ``(out_channels,)``.
+    """
+    bias_data = None if bias is None else bias.data
+    out_data, cols = conv2d_forward(x.data, weight.data, bias_data, stride, padding)
+    batch, in_c, height, width = x.shape
+    out_c, _, kh, kw = weight.shape
+    w_mat = weight.data.reshape(out_c, -1)
+    padded_shape = (batch, in_c, height + 2 * padding, width + 2 * padding)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def _backward(grad: np.ndarray) -> None:
@@ -251,19 +266,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 2)).astype(bias.dtype))
         if x.requires_grad:
+            window = im2col_window(x.shape, kh, kw, stride, padding)
             gcols = np.einsum("of,bop->bfp", w_mat, grad_mat, optimize=True)
             gx_padded = np.zeros(padded_shape, dtype=x.dtype)
             # Scatter-add patch gradients back into the padded image.
             np.add.at(gx_padded, (slice(None), window.k, window.i, window.j), gcols)
-            if padding:
-                gx = gx_padded[:, :, padding:-padding, padding:-padding]
-            else:
-                gx = gx_padded
-            x._accumulate(gx)
+            x._accumulate(gx_padded[:, :, padding : padding + height, padding : padding + width])
 
     # Exact multiply-add cost for the profiler: the output shape alone
     # cannot recover the receptive-field size, so pass it explicitly.
-    conv_flops = 2.0 * out_data.size * (w_in_c * kh * kw)
+    conv_flops = 2.0 * out_data.size * (in_c * kh * kw)
     return Tensor._make(out_data, parents, _backward, "conv2d", flops=conv_flops)
 
 

@@ -102,6 +102,22 @@ class TestChainBitIdentity:
         assert_chains_identical(rs, rf)
 
 
+def test_tempered_on_two_images_resnet_layer_pair(tiny_resnet, tiny_images):
+    """A shallow and a deep ResNet layer on a 2-image eval batch.
+
+    With two images the standard path's conv GEMMs are small, so the delta
+    recomputes match it only if every engine GEMM has the standard call
+    shape; a bigger engine GEMM sums in another order and flips error values.
+    """
+    x, y = tiny_images
+    spec = TargetSpec.weights_and_biases(include_layers=("stages.0.0.conv1", "stages.3.1.conv2"))
+    slow, fast = make_pair((tiny_resnet, x[:2], y[:2], spec), seed=10)
+    rs, ws = slow.tempered_campaign(1e-2, beta=8.0, chains=2, steps=20)
+    rf, wf = fast.tempered_campaign(1e-2, beta=8.0, chains=2, steps=20)
+    assert_chains_identical(rs, rf)
+    assert ws == wf
+
+
 class TestHazardQuarantine:
     def test_overflow_regime_identical(self, lenet_setup):
         # Exponent-lane flips at high p overflow activations; the hazard

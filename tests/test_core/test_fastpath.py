@@ -29,8 +29,8 @@ from repro.faults import (
     TargetSpec,
     apply_configuration,
 )
-from repro.nn import LeNet, MLP
-from repro.nn.module import Module
+from repro.nn import Dense, LeNet, MLP, Sequential
+from repro.nn.module import Module, Parameter
 from repro.tensor.tensor import no_grad
 
 EXPONENT_LANES = tuple(range(23, 31))
@@ -89,15 +89,51 @@ def resnet_injector(tiny_resnet, tiny_images):
     )
 
 
-@pytest.fixture()
-def arch_injector(request, lenet_injector, resnet_injector, trained_mlp, moons_eval):
-    """A parameter-surface injector per architecture id."""
-    if request.param == "mlp":
-        eval_x, eval_y = moons_eval
+def full_batch_injector(request, arch):
+    """The parameter-surface injector of one architecture on its whole eval batch."""
+    if arch == "mlp":
+        eval_x, eval_y = request.getfixturevalue("moons_eval")
         return BayesianFaultInjector(
-            trained_mlp, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=3
+            request.getfixturevalue("trained_mlp"), eval_x, eval_y,
+            spec=TargetSpec.weights_and_biases(), seed=3,
         )
-    return lenet_injector if request.param == "lenet" else resnet_injector
+    return request.getfixturevalue(f"{arch}_injector")
+
+
+@pytest.fixture()
+def arch_injector(request):
+    """A parameter-surface injector per architecture id."""
+    return full_batch_injector(request, request.param)
+
+
+#: parameterised layers an ``arch@n`` oracle input faults, one at a time
+SMALL_BATCH_LAYERS = 12
+
+
+@pytest.fixture()
+def oracle_injectors(request, lenet_setup, tiny_resnet, tiny_images):
+    """The differential oracle's injectors per input id.
+
+    ``arch`` is :func:`arch_injector`'s full-batch injector. ``arch@n``
+    runs on the first ``n`` images, one single-layer injector per
+    parameterised layer (a seeded sample of ResNet's 41). The standard
+    path's conv GEMMs are smallest there, so an engine GEMM of another call
+    shape (bigger, or a GEMM where ``conv2d`` runs a GEMV) would pick
+    another BLAS kernel and summation order.
+    """
+    arch, _, images = request.param.partition("@")
+    if not images:
+        return [full_batch_injector(request, arch)]
+    model, x, y = lenet_setup if arch == "lenet" else (tiny_resnet, *tiny_images)
+    x, y = x[: int(images)], y[: int(images)]
+    trace = GoldenTrace(model, x)
+    layers = [name for name, module in model.named_modules() if module._parameters]
+    if len(layers) > SMALL_BATCH_LAYERS:
+        layers = np.random.default_rng(0).choice(layers, SMALL_BATCH_LAYERS, replace=False).tolist()
+    return [
+        BayesianFaultInjector(model, x, y, spec=TargetSpec.single_layer(layer), seed=3, trace=trace)
+        for layer in layers
+    ]
 
 
 def layer_injector(model_id, layer, trained_mlp, moons_eval, tiny_resnet, tiny_images):
@@ -107,25 +143,29 @@ def layer_injector(model_id, layer, trained_mlp, moons_eval, tiny_resnet, tiny_i
 
 @pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5])
 @pytest.mark.parametrize("k", [1, 4])
-@pytest.mark.parametrize("arch_injector", ["mlp", "lenet", "resnet"], indirect=True)
-def test_engine_matches_standard_forward(arch_injector, k, p, rng):
+@pytest.mark.parametrize(
+    "oracle_injectors",
+    ["mlp", "lenet", "resnet", "lenet@1", "lenet@2", "resnet@1", "resnet@2"],
+    indirect=True,
+)
+def test_engine_matches_standard_forward(oracle_injectors, k, p, rng):
     """The differential oracle: engine rows and statistic vs ``model(x)``."""
-    injector = arch_injector
-    engine = injector._engine()
-    assert engine is not None
-    fault_model = BernoulliBitFlipModel(p)
-    configurations = [
-        FaultConfiguration.sample(injector.parameter_targets, fault_model, rng) for _ in range(k)
-    ]
-    assert_bit_identical(engine, injector, configurations)
+    for injector in oracle_injectors:
+        engine = injector._engine()
+        assert engine is not None
+        fault_model = BernoulliBitFlipModel(p)
+        configurations = [
+            FaultConfiguration.sample(injector.parameter_targets, fault_model, rng) for _ in range(k)
+        ]
+        assert_bit_identical(engine, injector, configurations)
 
-    golden = snapshot(injector)
-    statistic = injector.make_statistic(fault_model, rng)
-    for configuration in configurations:
-        value = statistic(configuration)
-        expected = hazard_aware_error(sequential_logits(injector, configuration), injector.labels)
-        assert np.array_equal(as_bits(np.float64(value)), as_bits(np.float64(expected)))
-    assert_untouched(injector, golden)  # the fast statistic never applies a configuration
+        golden = snapshot(injector)
+        statistic = injector.make_statistic(fault_model, rng)
+        for configuration in configurations:
+            value = statistic(configuration)
+            expected = hazard_aware_error(sequential_logits(injector, configuration), injector.labels)
+            assert np.array_equal(as_bits(np.float64(value)), as_bits(np.float64(expected)))
+        assert_untouched(injector, golden)  # the fast statistic never applies a configuration
 
 
 class TestBatchedBitIdentity:
@@ -491,6 +531,17 @@ class Doubled(MLP):
         return super().forward(x) * 2.0
 
 
+class Gain(Module):
+    """A parameterised leaf the segment engine has no handler for."""
+
+    def __init__(self):
+        super().__init__()
+        self.gain = Parameter(np.full(2, 1.5, dtype=np.float32))
+
+    def forward(self, x):
+        return x * self.gain
+
+
 class TestFastValidation:
     def test_fast_true_rejects_transient_surfaces(self, trained_mlp, moons_eval):
         eval_x, eval_y = moons_eval
@@ -507,6 +558,17 @@ class TestFastValidation:
         injector = BayesianFaultInjector(Wrapped().eval(), eval_x, eval_y, fast=True)
         with pytest.raises(ValueError, match="fast=True"):
             injector.forward_campaign(1e-3, samples=4, chains=1)
+
+    def test_unhandled_parameterised_module_past_the_cut_falls_back(self, moons_eval):
+        """Only parameter-free leaves may fold the configurations into the batch."""
+        eval_x, eval_y = moons_eval
+        model = Sequential(Dense(2, 2, rng=0), Gain()).eval()
+        injector = BayesianFaultInjector(model, eval_x, eval_y, spec=TargetSpec.single_layer("0"))
+        assert injector._engine() is None
+        with pytest.raises(TypeError, match="no batched handler for Gain"):
+            BatchedNetworkEvaluator(injector)
+        result = injector.forward_campaign(1e-3, samples=8, chains=2)
+        assert result.chains.steps == 4
 
     def test_transient_surfaces_fall_back_to_standard_path(self, trained_mlp, moons_eval):
         eval_x, eval_y = moons_eval

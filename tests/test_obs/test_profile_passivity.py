@@ -4,7 +4,10 @@ the profiler on or off, sequentially and across a worker pool."""
 import numpy as np
 
 import repro.obs as obs
+from repro.core import BayesianFaultInjector
 from repro.exec import ForwardSpec, McmcSpec, ParallelCampaignExecutor
+from repro.faults import TargetSpec
+from repro.nn import Conv2d
 
 
 def _comparable(result) -> dict:
@@ -36,6 +39,36 @@ class TestSequentialPassivity:
             profiled = make_injector().run(spec)
         assert _comparable(bare) == _comparable(profiled)
         assert np.array_equal(bare.chains.matrix(), profiled.chains.matrix())
+
+
+class TestEngineLayerBilling:
+    def test_every_conv_from_the_faulted_layer_on_is_billed(self, tiny_resnet, tiny_images):
+        """The segment engine runs convs outside ``Module.__call__``; each is still billed."""
+        x, y = tiny_images
+        layer = "stages.1.0.conv2"
+        spec = ForwardSpec(p=1e-2, samples=8, chains=1)
+
+        def make():
+            return BayesianFaultInjector(tiny_resnet, x, y, spec=TargetSpec.single_layer(layer), seed=3)
+
+        bare = make().run(spec)
+        injector = make()
+        engine = injector._engine()  # verifies the chain before profiling starts
+        with obs.Session(profiler=True) as session:
+            profiled = injector.run(spec)
+        assert _comparable(bare) == _comparable(profiled)
+        assert np.array_equal(bare.chains.matrix(), profiled.chains.matrix())
+
+        downstream = [step.name for step in engine.steps[engine.cut + 1:]]
+        convs = [
+            name
+            for name, module in tiny_resnet.named_modules()
+            if isinstance(module, Conv2d) and any(name.startswith(step + ".") for step in downstream)
+        ]
+        assert len(convs) > 5
+        for name in (layer, *convs):
+            stats = session.profiler.layers[name]
+            assert stats.calls > 0 and stats.forward_self_s > 0, name
 
 
 class TestParallelPassivity:

@@ -28,7 +28,7 @@ from repro.exec import chaos as chaos_mod
 from repro.obs import MemorySink, flight
 from repro.obs.openmetrics import parse_samples, validate_openmetrics
 from repro.obs.progress import ProgressEvent
-from repro.obs.server import SseSink, StatusServer, StatusTracker, parse_endpoint
+from repro.obs.server import SSE_QUEUE_SIZE, StatusServer, StatusTracker, parse_endpoint
 
 P_GRID = (1e-4, 1e-3, 1e-2, 5e-2)
 
@@ -114,22 +114,22 @@ class TestStatusTracker:
 
 class TestSseSink:
     def test_delivery_and_bounded_drop(self):
-        sink = SseSink(max_queue=2)
-        client = sink.subscribe()
-        for index in range(4):
-            sink.emit(ProgressEvent(kind="tick", payload={"n": index}))
-        assert sink.delivered == 2 and sink.dropped == 2
+        server = StatusServer()
+        client = server.subscribe()
+        for index in range(SSE_QUEUE_SIZE + 2):
+            server.emit(ProgressEvent(kind="tick", payload={"n": index}))
+        assert client.qsize() == SSE_QUEUE_SIZE and server.sse_dropped == 2
         assert json.loads(client.get_nowait())["n"] == 0
-        sink.unsubscribe(client)
-        assert sink.subscribers == 0
+        server.unsubscribe(client)
+        assert server.sse_subscribers == 0
 
     def test_close_sends_the_sentinel(self):
-        sink = SseSink()
-        client = sink.subscribe()
-        sink.close()
+        server = StatusServer()
+        client = server.subscribe()
+        server.close()
         assert client.get_nowait() is None
         # subscribing after close yields an immediately-terminated stream
-        assert sink.subscribe().get_nowait() is None
+        assert server.subscribe().get_nowait() is None
 
 
 class TestEndpoints:
@@ -238,16 +238,16 @@ class TestEndpoints:
         assert ready.wait(5.0)
         # wait for the subscription to land before publishing
         for _ in range(100):
-            if server.sse.subscribers:
+            if server.sse_subscribers:
                 break
             time.sleep(0.01)
-        server.sse.emit(ProgressEvent(kind="a", payload={"n": 1}))
-        server.sse.emit(ProgressEvent(kind="b", payload={"n": 2}))
+        server.emit(ProgressEvent(kind="a", payload={"n": 1}))
+        server.emit(ProgressEvent(kind="b", payload={"n": 2}))
         reader.join(timeout=5.0)
         assert [frame["kind"] for frame in frames] == ["a", "b"]
 
     def test_stop_is_idempotent_and_unblocks_sse(self, server):
-        client = server.sse.subscribe()
+        client = server.subscribe()
         server.stop()
         assert client.get(timeout=1.0) is None
         server.stop()  # second stop is a no-op
