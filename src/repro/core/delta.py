@@ -11,9 +11,11 @@ every segment of the engine's verified forward chain, diffs each proposal
 against the current state mask by mask, and recomputes only from the
 deepest segment whose fault targets changed — starting from the engine's
 golden prefix when the delta spans the whole chain. Proposals from
-parallel chains or tempering rungs are evaluated as a *round*: the
-per-chain entry activations are stacked and the candidates run through
-one :meth:`~repro.core.batched.BatchedNetworkEvaluator.run_segments` call.
+parallel chains or tempering rungs are evaluated as a *round*, grouped by
+cut: the candidates sharing a cut stack their entry activations and run
+through one :meth:`~repro.core.batched.BatchedNetworkEvaluator.run_segments`
+call that starts at that cut, so a round makes one call per distinct cut
+and no candidate recomputes a segment below its own cut.
 
 Bit-identity contract (the one every fast path honours): the cached
 activation entering segment ``j`` is valid for a candidate precisely when
@@ -30,6 +32,9 @@ profiler phase and recomputed suffixes to ``delta.recompute``;
 ``delta.cache.hit`` / ``delta.cache.miss`` counters (plus
 ``delta.segments.reused``, measured relative to the static prefix cut)
 land in the campaign metrics digest when a driver registry is attached.
+Each candidate counts against its own cut: a hit (and ``cut - base``
+reused segments) when it enters at a cached boundary, a miss when it
+enters at the golden prefix.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ class DeltaChainEvaluator:
         candidates: list[FaultConfiguration],
         guard: NumericalHazardGuard | None = None,
     ) -> list[float]:
-        """Score one candidate per session; one grouped forward per round.
+        """Score one candidate per session; one grouped forward per distinct cut.
 
         Returns the campaign statistic (hazard-aware classification error)
         per candidate, bit-identical to scoring each through the standard
@@ -156,8 +161,12 @@ class DeltaChainEvaluator:
         Candidates whose masks equal their session's committed state reuse
         the cached logits outright (``guard.score`` still runs, so hazard
         evaluation/row accounting matches the standard path exactly); the
-        rest recompute from the shallowest changed segment across the
-        round, stacked through one grouped batched forward.
+        rest are grouped by cut (the shallowest segment whose targets
+        changed, floored at the static prefix cut). Each group stacks its
+        entry activations and runs one ``run_segments`` call from its own
+        cut, so a deep-layer change is not recomputed from a shallow one's
+        cut in the same round. Scored values and staged boundaries do not
+        depend on the grouping.
         """
         if len(sessions) != len(candidates):
             raise ValueError(
@@ -178,9 +187,15 @@ class DeltaChainEvaluator:
         cuts = [session.cut_for(candidate) for session, candidate in zip(sessions, candidates)]
         values: list[float] = [0.0] * len(candidates)
 
-        live = [index for index, cut in enumerate(cuts) if cut < n]
+        # One recompute per distinct cut: each group enters at its own
+        # cut, so a deep-layer change never pays for a shallow one's
+        # segments. A cut at or below the static prefix (or a session with
+        # no state yet) spans the whole chain and enters at the golden
+        # prefix, exactly like ``evaluate_logits``.
+        groups: dict[int, list[int]] = {}
         for index, cut in enumerate(cuts):
             if cut < n:
+                groups.setdefault(max(cut, self.base), []).append(index)
                 continue
             # Nothing changed (e.g. a block resample redrew an identical —
             # often empty — mask): the committed logits are the candidate's.
@@ -191,44 +206,37 @@ class DeltaChainEvaluator:
             if metrics is not None:
                 metrics.inc("delta.cache.hit")
                 metrics.inc("delta.segments.reused", n - self.base)
-        if not live:
-            return values
 
-        start = min(cuts[index] for index in live)
-        live_candidates = [candidates[index] for index in live]
-        if start <= self.base:
-            # Delta spans the whole chain (or a session has no state yet):
-            # full path from the shared golden prefix, exactly like
-            # ``evaluate_logits``.
-            start = self.base
-            entry = self.segments.prefix
-            entry_diverged = False
-        else:
-            with obs.phase("delta.reuse"):
-                entry = np.stack([sessions[index].boundary(start) for index in live])
-            entry_diverged = True
-        if metrics is not None:
-            for index in live:
+        for start, members in sorted(groups.items()):
+            if start == self.base:
+                entry = self.segments.prefix
+                entry_diverged = False
+            else:
+                with obs.phase("delta.reuse"):
+                    entry = np.stack([sessions[index].boundary(start) for index in members])
+                entry_diverged = True
+            if metrics is not None:
                 if start > self.base:
-                    metrics.inc("delta.cache.hit")
-                    metrics.inc("delta.segments.reused", start - self.base)
+                    metrics.inc("delta.cache.hit", len(members))
+                    metrics.inc("delta.segments.reused", (start - self.base) * len(members))
                 else:
-                    metrics.inc("delta.cache.miss")
-        boundaries: list = []
-        with obs.phase("delta.recompute"):
-            self.segments.run_segments(
-                live_candidates, entry, start, entry_diverged, guard=guard, boundaries=boundaries
-            )
-        for position, index in enumerate(live):
-            bounds = sessions[index].inherit(start)
-            for offset, state in enumerate(boundaries):
-                if state.diverged:
-                    # Contiguous copy: the row must survive the round's big
-                    # stacked array and feed later GEMMs exactly as a
-                    # sequential activation would.
-                    bounds[start + 1 + offset] = np.ascontiguousarray(state.data[position])
-                else:
-                    bounds[start + 1 + offset] = state.data
-            values[index] = guard.score(bounds[n], labels)
-            sessions[index].stage(candidates[index], bounds)
+                    metrics.inc("delta.cache.miss", len(members))
+            rows = [candidates[index] for index in members]
+            boundaries: list = []
+            with obs.phase("delta.recompute"):
+                self.segments.run_segments(
+                    rows, entry, start, entry_diverged, guard=guard, boundaries=boundaries
+                )
+            for position, index in enumerate(members):
+                bounds = sessions[index].inherit(start)
+                for offset, state in enumerate(boundaries):
+                    if state.diverged:
+                        # Contiguous copy: the row must survive the group's
+                        # big stacked array and feed later GEMMs exactly as
+                        # a sequential activation would.
+                        bounds[start + 1 + offset] = np.ascontiguousarray(state.data[position])
+                    else:
+                        bounds[start + 1 + offset] = state.data
+                values[index] = guard.score(bounds[n], labels)
+                sessions[index].stage(candidates[index], bounds)
         return values

@@ -46,7 +46,8 @@ class MetropolisHastingsSampler:
     engine:
         Optional :class:`~repro.core.delta.DeltaChainEvaluator`. When set,
         :meth:`run` steps every chain in lockstep and scores each round of
-        proposals through one grouped delta forward instead of calling
+        proposals through one delta round (one grouped forward per
+        distinct cut among the proposals) instead of calling
         ``statistic`` per candidate — bit-identical to the sequential path
         (property-tested), order-of-magnitude faster on deep models.
     """
@@ -122,8 +123,9 @@ class MetropolisHastingsSampler:
         """Run ``chains`` independent chains from overdispersed starts.
 
         With a delta engine attached the chains advance in lockstep (one
-        grouped forward per proposal round); results are bit-identical to
-        the sequential path either way.
+        delta round per proposal step, one grouped forward per distinct
+        cut in it); results are bit-identical to the sequential path
+        either way.
         """
         if chains <= 0:
             raise ValueError(f"chains must be positive, got {chains}")
@@ -133,7 +135,7 @@ class MetropolisHastingsSampler:
         return ChainSet([self.run_chain(steps, g, chain_id=i) for i, g in enumerate(generators)])
 
     def _run_lockstep(self, chains: int, steps: int, rng) -> ChainSet:
-        """All chains in lockstep; one grouped delta forward per round.
+        """All chains in lockstep; one delta round (a forward per distinct cut) per step.
 
         Bit-identity with the sequential path holds because every chain
         draws from its own spawned generator in the same per-chain order

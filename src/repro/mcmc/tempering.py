@@ -76,10 +76,11 @@ class ParallelTemperingSampler:
     engine:
         Optional :class:`~repro.core.delta.DeltaChainEvaluator`. When set,
         :meth:`run` advances all replicas in lockstep and scores each
-        rung's proposals across replicas through one grouped delta forward
-        — bit-identical to the sequential path. (Rungs *within* a replica
-        stay sequential: each rung's acceptance draw conditions the
-        stream the next rung proposes from.)
+        rung's proposals across replicas through one delta round (one
+        grouped forward per distinct cut) — bit-identical to the
+        sequential path. (Rungs *within* a replica stay sequential: each
+        rung's acceptance draw conditions the stream the next rung
+        proposes from.)
     """
 
     def __init__(
@@ -170,8 +171,9 @@ class ParallelTemperingSampler:
         """``chains`` independent replica systems with split streams.
 
         With a delta engine attached the replicas advance in lockstep (one
-        grouped forward per rung per sweep, batched across replicas);
-        results are bit-identical to the sequential path either way.
+        delta round per rung per sweep, batched across replicas and
+        grouped by cut); results are bit-identical to the sequential path
+        either way.
         """
         if chains <= 0:
             raise ValueError(f"chains must be positive, got {chains}")

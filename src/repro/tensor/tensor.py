@@ -384,8 +384,15 @@ class Tensor:
         return Tensor._make(out_data, (self,), _backward, "sigmoid")
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, self.data.dtype.type(0))
+        data = self.data
+        mask = data > 0
+        if data.dtype.kind in "biuf" and data.dtype.isnative and data.itemsize in (1, 2, 4, 8):
+            # Branch-free select: the bits times 0 or 1 as a same-width
+            # integer. Same bits as np.where(mask, x, 0) (NaN and -0.0 give
+            # +0.0), same strides, no FP flags, several times faster.
+            out_data = np.multiply(data.view(f"i{data.itemsize}"), mask).view(data.dtype)
+        else:
+            out_data = np.where(mask, data, data.dtype.type(0))
 
         def _backward(grad: np.ndarray) -> None:
             self._accumulate(grad * mask)

@@ -15,11 +15,14 @@ import repro.obs as obs
 from repro.core import BayesianFaultInjector
 from repro.core.delta import DeltaChainEvaluator
 from repro.faults import BernoulliBitFlipModel, FaultConfiguration, TargetSpec
+from repro.faults.injection import apply_configuration
 from repro.mcmc import ParallelTemperingSampler, SingleBitToggle
 from repro.mcmc.mixing import CompletenessCriterion
 from repro.nn import LeNet, MLP
 from repro.nn.module import Module
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
+from repro.tensor import no_grad
 
 SEEDS = (11, 23, 2019)
 EXPONENT_LANES = tuple(range(23, 31))
@@ -375,3 +378,104 @@ class TestStatisticMemoisation:
         target.log_density(configuration)
         target.log_density(configuration)
         assert calls["n"] == 2
+
+
+class TestSplitRound:
+    """A round whose candidates have different cuts runs one ``run_segments``
+    per distinct start, each from its own cut, and scores and stages exactly
+    what scoring each candidate alone, or the standard path, gives."""
+
+    SHALLOW, DEEP = "stages.0.0.conv1", "stages.3.1.conv2"
+
+    @pytest.fixture()
+    def injectors(self, tiny_resnet, tiny_images):
+        x, y = tiny_images
+        spec = TargetSpec.weights_and_biases(include_layers=(self.SHALLOW, self.DEEP))
+        return make_pair((tiny_resnet, x, y, spec), seed=5)
+
+    @staticmethod
+    def flipped(configuration, name, elements):
+        """``configuration`` with the top exponent bit of ``elements`` toggled."""
+        out = configuration.copy()
+        out.mask(f"{name}.weight").reshape(-1)[list(elements)] ^= np.uint32(1 << 30)
+        return out
+
+    @staticmethod
+    def committed(engine, state):
+        session = engine.session()
+        engine.evaluate_round([session], [state])
+        session.commit()
+        return session
+
+    def round(self, injector, engine):
+        """(sessions, candidates) of a round mixing every kind of cut."""
+        rng = np.random.default_rng(8)
+        fault_model = BernoulliBitFlipModel(2e-3)
+        states = [
+            FaultConfiguration.sample(injector.parameter_targets, fault_model, rng)
+            for _ in range(4)
+        ]
+        sessions = [engine.session()] + [self.committed(engine, state) for state in states]
+        fresh = FaultConfiguration.sample(injector.parameter_targets, fault_model, rng)
+        candidates = [
+            fresh,  # no state yet: cut 0
+            self.flipped(states[0], self.SHALLOW, (3, 40)),  # cut at the shallow layer
+            self.flipped(states[1], self.DEEP, (7,)),  # cut at the deep layer
+            states[2],  # unchanged: cut n, cached logits
+            self.flipped(states[3], self.DEEP, (100, 2000)),  # a second deep cut
+        ]
+        return sessions, candidates
+
+    @staticmethod
+    def bits(bounds):
+        return {index: value.view(np.uint32).tobytes() for index, value in bounds.items()}
+
+    def test_bit_identical_to_alone_and_standard(self, injectors, monkeypatch):
+        slow, fast = injectors
+        engine = DeltaChainEvaluator(fast._engine())
+        segments = engine.segments
+        sessions, candidates = self.round(fast, engine)
+        base, deep, n = engine.base, engine.owners[f"{self.DEEP}.weight"], engine.n_steps
+        assert engine.owners[f"{self.SHALLOW}.weight"] == base < deep < n
+        assert [s.cut_for(c) for s, c in zip(sessions, candidates)] == [0, base, deep, n, deep]
+
+        calls = []
+        run_segments = segments.run_segments
+
+        def spy(configurations, activation, start, diverged, **kwargs):
+            calls.append((start, len(configurations)))
+            return run_segments(configurations, activation, start, diverged, **kwargs)
+
+        monkeypatch.setattr(segments, "run_segments", spy)
+        monkeypatch.setattr(fast, "_active_metrics", MetricsRegistry())
+        values = engine.evaluate_round(sessions, candidates)
+        assert calls == [(base, 2), (deep, 2)]
+        # Cache counters count against each candidate's own cut.
+        counters = {name: fast._active_metrics.counter(f"delta.{name}").value
+                    for name in ("cache.hit", "cache.miss", "segments.reused")}
+        assert counters == {
+            "cache.hit": 3, "cache.miss": 2, "segments.reused": 2 * (deep - base) + (n - base),
+        }
+        staged = [self.bits(session._pending[1]) for session in sessions]
+
+        # Each candidate alone, in a twin session with the same committed state.
+        monkeypatch.setattr(segments, "run_segments", run_segments)
+        twins, _ = self.round(fast, engine)
+        for index, (twin, candidate) in enumerate(zip(twins, candidates)):
+            assert engine.evaluate_round([twin], [candidate]) == [values[index]]
+            assert self.bits(twin._pending[1]) == staged[index]
+
+        # The standard path: model(x) for the values, and each chain step's
+        # output under the applied faults for the staged boundaries.
+        statistic = slow.make_statistic(BernoulliBitFlipModel(2e-3), np.random.default_rng(0))
+        assert [statistic(candidate) for candidate in candidates] == values
+        for index, candidate in enumerate(candidates):
+            with apply_configuration(slow.model, candidate), no_grad(), np.errstate(all="ignore"):
+                activation = slow._x
+                want = {}
+                for step_index, step in enumerate(segments.steps):
+                    activation = step.module(activation)
+                    want[step_index + 1] = activation.data.view(np.uint32).tobytes()
+            got = staged[index]
+            assert sorted(got) == list(range(base + 1, n + 1))
+            assert all(got[key] == want[key] for key in got)

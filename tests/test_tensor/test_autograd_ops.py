@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tensor import Tensor
 
@@ -80,6 +82,64 @@ class TestRectifierBits:
     def test_integer_relu_keeps_dtype(self):
         out = Tensor(np.array([-3, 0, 4], dtype=np.int32)).relu().data
         assert out.dtype == np.int32 and out.tolist() == [0, 0, 4]
+
+    @staticmethod
+    def _reference(x):
+        return np.where(x > 0, x, x.dtype.type(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([(np.float32, np.uint32, 32), (np.float64, np.uint64, 64)]),
+        st.lists(st.integers(min_value=0), min_size=1, max_size=24),
+    )
+    def test_relu_on_raw_bit_patterns(self, kind, patterns):
+        dtype, uint, width = kind
+        x = np.array([bits % (1 << width) for bits in patterns], dtype=uint).view(dtype)
+        got = Tensor(x).relu().data
+        want = self._reference(x)
+        assert got.dtype == dtype and np.array_equal(got.view(uint), want.view(uint))
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            lambda a: a.T,
+            lambda a: a.transpose(2, 0, 1),
+            lambda a: a[:, ::2, 1::3],
+            lambda a: a[::-1, :, ::-2],
+            lambda a: np.broadcast_to(a[:1], a.shape),
+        ],
+        ids=["transposed", "axes-permuted", "strided", "reversed", "broadcast"],
+    )
+    def test_relu_layout_matches_where(self, view):
+        base = np.random.default_rng(4).normal(size=(4, 6, 10)).astype(np.float32)
+        base[0, 0, :3] = (-0.0, np.nan, np.inf)
+        x = view(base)
+        got = Tensor(x).relu().data
+        want = self._reference(x)
+        assert got.strides == want.strides
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int8, np.uint8, np.int64])
+    def test_relu_other_dtypes(self, dtype):
+        info = np.finfo(dtype) if np.issubdtype(dtype, np.floating) else np.iinfo(dtype)
+        values = np.array([info.min, 0, 1, info.max], dtype=dtype)
+        x = values.reshape(1, 4).repeat(3, axis=0)[:, ::-1]
+        got = Tensor(x).relu().data
+        want = self._reference(x)
+        assert got.dtype == dtype and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype,uint", [(np.float32, np.uint32), (np.float64, np.uint64)])
+    def test_relu_raises_no_fp_exception(self, dtype, uint):
+        x = self._special(dtype, uint)
+        with np.errstate(all="raise"):
+            got = Tensor(x).relu().data
+        assert np.array_equal(got.view(uint), self._reference(x).view(uint))
+
+    def test_relu_gradient_masks_by_sign(self):
+        x = Tensor(np.array([-1.0, 0.0, 2.0, np.nan], dtype=np.float32), requires_grad=True)
+        x.relu().sum().backward()
+        assert x.grad.tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 class TestBinaryGrads:
