@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.bits import apply_bit_mask, sample_bernoulli_mask
 from repro.core import BatchedNetworkEvaluator, BayesianFaultInjector
-from repro.faults import BernoulliBitFlipModel, FaultConfiguration, TargetSpec
+from repro.faults import BernoulliBitFlipModel, ConfigurationBlock, FaultConfiguration, TargetSpec
 from repro.mcmc import MetropolisHastingsSampler, PriorTarget, SingleBitToggle
 from repro.tensor import Tensor, conv2d, no_grad
 
@@ -67,7 +67,8 @@ def test_batched_campaign_throughput(benchmark, golden_mlp_moons, moons_eval_bat
     configurations = [
         FaultConfiguration.sample(injector.parameter_targets, model, rng) for _ in range(200)
     ]
-    benchmark(lambda: engine.evaluate_logits(configurations))
+    block = ConfigurationBlock.of(configurations)
+    benchmark(lambda: engine.evaluate_logits(block))
 
 
 def test_conv2d_forward(benchmark):

@@ -19,10 +19,15 @@ rows folded into the batch axis.
 Every fast path of :class:`~repro.core.injector.BayesianFaultInjector`
 goes through :meth:`BatchedNetworkEvaluator.run_segments`:
 
-* forward campaigns score configurations in chunks (:meth:`evaluate_logits`);
+* forward campaigns score sampled blocks in chunks (:meth:`evaluate_logits`);
 * the single-configuration statistic is a one-row sweep (``k = 1``);
 * MCMC and tempered chains recompute from cached segment boundaries
   (:mod:`repro.core.delta`).
+
+Every caller hands the engine a
+:class:`~repro.faults.configuration.ConfigurationBlock` — a sampled
+block's chunk, or ``ConfigurationBlock.of`` a list — so each parameter's
+rows are faulted from one per-target fold.
 
 One row class skips it:
 
@@ -42,7 +47,7 @@ import numpy as np
 
 import repro.obs as obs
 import repro.obs.profile as obs_profile
-from repro.faults.configuration import FaultConfiguration
+from repro.faults.configuration import ConfigurationBlock
 from repro.nn.containers import Sequential
 from repro.nn.conv import Conv2d
 from repro.nn.layers import Dense
@@ -135,10 +140,8 @@ class BatchedNetworkEvaluator:
     # evaluation
     # ------------------------------------------------------------------ #
 
-    def evaluate_logits(
-        self, configurations: list[FaultConfiguration], guard=None
-    ) -> np.ndarray:
-        """Logits per configuration, shape ``(k, B, classes)``.
+    def evaluate_logits(self, configurations: ConfigurationBlock, guard=None) -> np.ndarray:
+        """Logits per configuration row, shape ``(k, B, classes)``.
 
         Bit-identical to running each configuration through
         ``apply_configuration`` + ``model(x)`` sequentially (property-tested
@@ -152,26 +155,26 @@ class BatchedNetworkEvaluator:
         diagnostics and differ from the sequential path's — the scored
         errors do not.
 
-        Golden rows: a configuration that flips no bit
-        (:meth:`~repro.faults.configuration.FaultConfiguration.is_empty`)
+        Golden rows: a row that flips no bit (zero in
+        :attr:`~repro.faults.configuration.ConfigurationBlock.flips`)
         is the golden forward, so its row is the golden trace's verified
         logits and only the live rows go through :meth:`run_segments`. A
-        chunk without live rows runs no segment and returns a read-only
-        broadcast of the golden logits; a mixed chunk returns one stack in
+        block without live rows runs no segment and returns a read-only
+        broadcast of the golden logits; a mixed block returns one stack in
         the original row order.
         """
         if not configurations:
             raise ValueError("need at least one configuration")
         golden = self.injector.trace.logits
         stack = np.broadcast_to(golden, (len(configurations),) + golden.shape)
-        live = [i for i, configuration in enumerate(configurations) if not configuration.is_empty()]
-        if not live:
+        live = np.flatnonzero(configurations.flips)
+        if not live.size:
             return stack
-        rows = [configurations[i] for i in live]
+        rows = configurations if live.size == len(configurations) else configurations.select(live)
         # steps[cut] owns a fault target, so the final state is always the
         # diverged (k, B, classes) stack
         logits = self.run_segments(rows, self.prefix, self.cut, diverged=False, guard=guard).data
-        if len(rows) == len(configurations):
+        if rows is configurations:
             return logits
         stack = stack.copy()
         stack[live] = logits
@@ -179,7 +182,7 @@ class BatchedNetworkEvaluator:
 
     def run_segments(
         self,
-        configurations: list[FaultConfiguration],
+        configurations: ConfigurationBlock,
         activation: np.ndarray,
         start: int,
         diverged: bool,
@@ -192,7 +195,7 @@ class BatchedNetworkEvaluator:
         enters at the static cut, :mod:`repro.core.delta` at cached segment
         boundaries. ``activation`` is the array entering ``steps[start]`` —
         shared ``(B, ...)`` when ``diverged`` is False, or stacked
-        ``(k, B, ...)`` with rows aligned to ``configurations`` otherwise. The same
+        ``(k, B, ...)`` with rows aligned to the block's rows otherwise. The same
         bit-identity argument as :meth:`evaluate_logits` applies segment by
         segment, so per-row results equal sequential faulted forwards
         whenever ``activation`` itself is bit-identical to the sequential
@@ -224,7 +227,7 @@ class BatchedNetworkEvaluator:
         module: Module | None,
         name: str,
         state: _State,
-        configurations: list[FaultConfiguration],
+        configurations: ConfigurationBlock,
     ) -> _State:
         if module is None:  # MLP's synthetic input flatten
             data = state.data
@@ -270,35 +273,30 @@ class BatchedNetworkEvaluator:
         return out.reshape((k, batch) + out.shape[1:])
 
     def _stacked_parameter(
-        self, configurations: list[FaultConfiguration], name: str, golden: np.ndarray
+        self, configurations: ConfigurationBlock, name: str, golden: np.ndarray
     ) -> np.ndarray:
         """(k, *shape) row copies of one parameter.
 
         A parameter that is no fault target is a zero-copy broadcast of the
-        golden array. A target's rows are faulted copies: all rows' sparse
-        masks are applied in one fancy-index XOR over the flattened stack.
-        Each row's elements are unique, so every ``(row, element)`` pair is
-        too, and the XOR equals a per-row one exactly.
+        golden array. A target's rows are faulted copies: the block's fold
+        of the target (:meth:`ConfigurationBlock.fold`) already addresses
+        the flattened stack, so every row's flips go in with one
+        fancy-index XOR. Each ``(row, element)`` index is unique, so the
+        XOR equals a per-row one exactly.
         """
         k = len(configurations)
         if name not in self.owners:
             return np.broadcast_to(golden, (k,) + golden.shape)
         stack = np.empty((k,) + golden.shape, dtype=golden.dtype)
         stack[...] = golden
-        bits = stack.reshape(-1).view(np.uint32)
         with obs.phase("flip.sparse"):
-            indices, lane_masks = [], []
-            for i, configuration in enumerate(configurations):
-                if name in configuration and configuration.touches(name):
-                    sparse = configuration.sparse(name)
-                    indices.append(sparse.elements + i * golden.size)
-                    lane_masks.append(sparse.lane_masks)
-            if indices:
-                bits[np.concatenate(indices)] ^= np.concatenate(lane_masks)
+            index, lanes = configurations.fold(name)
+            if index.size:
+                stack.reshape(-1).view(np.uint32)[index] ^= lanes
         return stack
 
     def _run_dense(
-        self, module: Dense, name: str, state: _State, configurations: list[FaultConfiguration]
+        self, module: Dense, name: str, state: _State, configurations: ConfigurationBlock
     ) -> _State:
         weights = self._stacked_parameter(configurations, f"{name}.weight", module.weight.data)
         # (B, in) @ (k, in, out) and (k, B, in) @ (k, in, out) both broadcast
@@ -311,7 +309,7 @@ class BatchedNetworkEvaluator:
         return _State(out, True)
 
     def _run_conv(
-        self, module: Conv2d, name: str, state: _State, configurations: list[FaultConfiguration]
+        self, module: Conv2d, name: str, state: _State, configurations: ConfigurationBlock
     ) -> _State:
         k = len(configurations)
         inputs = state.data if state.diverged else [state.data] * k
@@ -326,7 +324,7 @@ class BatchedNetworkEvaluator:
         return _State(np.stack(rows), True)
 
     def _run_norm(
-        self, module: _BatchNorm, name: str, state: _State, configurations: list[FaultConfiguration]
+        self, module: _BatchNorm, name: str, state: _State, configurations: ConfigurationBlock
     ) -> _State:
         shape = (1, module.num_features) + (1,) * (len(module._param_shape) - 1)
         mean = module.running_mean.reshape(shape)
@@ -343,14 +341,14 @@ class BatchedNetworkEvaluator:
         return _State(out, True)
 
     def _run_sequential(
-        self, module: Sequential, name: str, state: _State, configurations: list[FaultConfiguration]
+        self, module: Sequential, name: str, state: _State, configurations: ConfigurationBlock
     ) -> _State:
         for child_name, child in module._modules.items():
             state = self._run_module(child, f"{name}.{child_name}", state, configurations)
         return state
 
     def _run_block(
-        self, module: BasicBlock, name: str, state: _State, configurations: list[FaultConfiguration]
+        self, module: BasicBlock, name: str, state: _State, configurations: ConfigurationBlock
     ) -> _State:
         out = self._run_module(module.conv1, f"{name}.conv1", state, configurations)
         out = self._run_module(module.bn1, f"{name}.bn1", out, configurations)

@@ -44,7 +44,7 @@ import numpy as np
 import repro.obs as obs
 from repro.core.batched import BatchedNetworkEvaluator
 from repro.core.hazard import NumericalHazardGuard
-from repro.faults.configuration import FaultConfiguration
+from repro.faults.configuration import ConfigurationBlock, FaultConfiguration
 
 __all__ = ["DeltaSession", "DeltaChainEvaluator"]
 
@@ -177,11 +177,11 @@ class DeltaChainEvaluator:
         injector = self.injector
         guard = guard or injector._active_guard or NumericalHazardGuard()
         metrics = injector._active_metrics
+        block = ConfigurationBlock.of(candidates)
         if metrics is not None:
-            from repro.core.injector import _record_configuration
+            from repro.core.injector import _record_configurations
 
-            for candidate in candidates:
-                _record_configuration(metrics, candidate)
+            _record_configurations(metrics, block)
         labels = injector.labels
         n = self.n_steps
         cuts = [session.cut_for(candidate) for session, candidate in zip(sessions, candidates)]
@@ -221,7 +221,7 @@ class DeltaChainEvaluator:
                     metrics.inc("delta.segments.reused", (start - self.base) * len(members))
                 else:
                     metrics.inc("delta.cache.miss", len(members))
-            rows = [candidates[index] for index in members]
+            rows = block.select(members)
             boundaries: list = []
             with obs.phase("delta.recompute"):
                 self.segments.run_segments(

@@ -52,7 +52,7 @@ from repro.exec.specs import (
 from repro.core.posterior import ErrorPosterior
 from repro.core.prefix import GoldenTrace
 from repro.faults.bernoulli import BernoulliBitFlipModel
-from repro.faults.configuration import FaultConfiguration
+from repro.faults.configuration import ConfigurationBlock, FaultConfiguration
 from repro.faults.injection import ActivationInjector, InputInjector, apply_configuration
 from repro.faults.model import FaultModel
 from repro.faults.targets import (
@@ -86,25 +86,33 @@ _FIELD_MASKS = tuple((field, field_mask(field)) for field in ("sign", "exponent"
 #: bounds the (chunk, batch, channels, H, W) float32 intermediates
 _FAST_CHUNK = 8
 
+#: configurations a fast forward chain draws and folds at once — a multiple
+#: of ``_FAST_CHUNK``, so the chunks scored are the same as without blocks;
+#: bounds the per-target position temporaries of the fold at large p
+_FAST_BLOCK = 64
 
-def _record_configuration(metrics, configuration: FaultConfiguration) -> None:
+
+def _record_configurations(metrics, rows: ConfigurationBlock) -> None:
     """Detailed per-evaluation counters: flips by IEEE-754 field and by layer.
 
     Runs on the statistic hot path, but only when a driver registry is
-    attached (``--metrics`` / ``obs.Session(metrics=True)``). Counts are
-    pure functions of the configuration, so sequential and parallel runs
-    reduce to identical totals.
+    attached (``--metrics`` / ``obs.Session(metrics=True)``). One pass per
+    target over the block's fold counts every row at once; the totals are
+    the sums of per-configuration counts, a target or field without flips
+    creates no key, and counts are pure functions of the configurations,
+    so sequential, blocked and parallel runs reduce to identical totals.
     """
-    metrics.inc("forward_passes")
-    for name, sparse in configuration.sparse_items():
-        flips = sparse.count_set_bits()
+    metrics.inc("forward_passes", len(rows))
+    for name in rows.names():
+        _, lanes = rows.fold(name)
+        flips = count_set_bits(lanes)
         if not flips:
             continue
         metrics.inc(f"flips.layer.{name}", flips)
         for field, bits in _FIELD_MASKS:
             # Field masks are per-lane constants, so counting over the
             # touched elements' lane masks equals counting over the dense mask.
-            in_field = count_set_bits(sparse.lane_masks & bits)
+            in_field = count_set_bits(lanes & bits)
             if in_field:
                 metrics.inc(f"flips.field.{field}", in_field)
 
@@ -291,11 +299,12 @@ class BayesianFaultInjector:
         engine = self._engine(fast)
 
         def statistic(configuration: FaultConfiguration) -> float:
+            row = ConfigurationBlock.of([configuration])
             if self._active_metrics is not None:
-                _record_configuration(self._active_metrics, configuration)
+                _record_configurations(self._active_metrics, row)
             if engine is not None:
                 with obs.phase("forward.eval"):
-                    logits = engine.evaluate_logits([configuration], guard=hazard_guard)[0]
+                    logits = engine.evaluate_logits(row, guard=hazard_guard)[0]
                 return hazard_guard.score(logits, self.labels)
             if self._wants_parameters:
                 parameter_context = apply_configuration(self.model, configuration)
@@ -585,8 +594,11 @@ class BayesianFaultInjector:
         statistic consumes no randomness during evaluation), and the batched
         logits are bit-identical to the sequential faulted forwards — so the
         recorded chains, posterior, and digest all match exactly. Only the
-        evaluation order changes: configurations are scored ``_FAST_CHUNK``
-        at a time through one segment-engine sweep.
+        work around the draws changes: a chain draws ``_FAST_BLOCK`` rows at
+        a time with :meth:`FaultConfiguration.sample_block` (the same RNG
+        calls in the same order, each target folded once per block), counts
+        detailed metrics and records flips from the block, and scores it
+        ``_FAST_CHUNK`` rows at a time through one segment-engine sweep each.
         """
         p, stream = spec.p, spec.stream
         if spec.chains <= 0:
@@ -599,32 +611,33 @@ class BayesianFaultInjector:
         for chain_id, generator in enumerate(generators):
             chain = Chain(chain_id)
             with obs.span("chain.forward", chain_id=chain_id, steps=steps):
-                configurations = [
-                    FaultConfiguration.sample(self.parameter_targets, fault_model, generator)
-                    for _ in range(steps)
-                ]
-                done = 0
-                for start in range(0, steps, _FAST_CHUNK):
-                    chunk = configurations[start : start + _FAST_CHUNK]
+                for block_start in range(0, steps, _FAST_BLOCK):
+                    block = FaultConfiguration.sample_block(
+                        self.parameter_targets,
+                        fault_model,
+                        generator,
+                        min(_FAST_BLOCK, steps - block_start),
+                    )
                     if self._active_metrics is not None:
-                        for configuration in chunk:
-                            _record_configuration(self._active_metrics, configuration)
-                    with obs.phase("forward.eval"):
-                        logits = engine.evaluate_logits(chunk, guard=guard)
-                    values = guard.score_rows(logits, self.labels)
-                    for configuration, value in zip(chunk, values):
-                        chain.record(value, configuration.total_flips(), accepted=True)
-                        done += 1
-                        if obs.listening() and done % PROGRESS_EVERY == 0:
-                            window = chain.recent(PROGRESS_EVERY)
-                            obs.publish(
-                                "chain.progress",
-                                sampler="forward",
-                                chain_id=chain_id,
-                                step=done,
-                                steps=steps,
-                                window_mean=float(window.mean()),
-                            )
+                        _record_configurations(self._active_metrics, block)
+                    for start in range(0, len(block), _FAST_CHUNK):
+                        chunk = block[start : start + _FAST_CHUNK]
+                        with obs.phase("forward.eval"):
+                            logits = engine.evaluate_logits(chunk, guard=guard)
+                        values = guard.score_rows(logits, self.labels)
+                        for value, flips in zip(values, chunk.flips.tolist()):
+                            chain.record(value, flips, accepted=True)
+                            done = len(chain)
+                            if obs.listening() and done % PROGRESS_EVERY == 0:
+                                window = chain.recent(PROGRESS_EVERY)
+                                obs.publish(
+                                    "chain.progress",
+                                    sampler="forward",
+                                    chain_id=chain_id,
+                                    step=done,
+                                    steps=steps,
+                                    window_mean=float(window.mean()),
+                                )
             chains.append(chain)
         return self._package(p, ChainSet(chains), "forward", discard_fraction=0.0)
 

@@ -15,7 +15,9 @@ This package provides:
   stuck-at, and byte-error models cover the broader FI literature);
 * :class:`~repro.faults.configuration.FaultConfiguration` — a concrete
   sampled set of XOR masks over named parameters (this is also the state
-  space the MCMC kernels walk);
+  space the MCMC kernels walk), and
+  :class:`~repro.faults.configuration.ConfigurationBlock` — rows of them
+  with each target folded over all rows, as campaigns draw and score them;
 * :mod:`~repro.faults.injection` — applying configurations to a network:
   a save/apply/restore context for parameters and forward hooks for
   activation and input corruption (mirroring TensorFI's op instrumentation).
@@ -27,7 +29,7 @@ from repro.faults.bernoulli import BernoulliBitFlipModel
 from repro.faults.heterogeneous import HeterogeneousBitFlipModel
 from repro.faults.single import SingleBitFlipModel, StuckAtModel, ByteErrorModel
 from repro.faults.burst import BurstBitFlipModel
-from repro.faults.configuration import FaultConfiguration
+from repro.faults.configuration import ConfigurationBlock, FaultConfiguration
 from repro.faults.sparse import SparseMask
 from repro.faults.injection import (
     apply_configuration,
@@ -49,6 +51,7 @@ __all__ = [
     "ByteErrorModel",
     "BurstBitFlipModel",
     "FaultConfiguration",
+    "ConfigurationBlock",
     "SparseMask",
     "apply_configuration",
     "inject_parameters",

@@ -55,15 +55,14 @@ class BernoulliBitFlipModel(FaultModel):
     def sample_mask(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         return sample_bernoulli_mask(shape, self.p, rng, bits=self.bits)
 
-    def sample_sparse(self, shape: tuple[int, ...], rng: np.random.Generator) -> SparseMask:
+    def sample_positions(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         """Sparse-native draw: identical RNG consumption to :meth:`sample_mask`.
 
-        Both paths route through :func:`sample_flip_positions`, so the drawn
+        Both route through :func:`sample_flip_positions`, so the drawn
         positions — and therefore every downstream statistic — are
         bit-identical whichever representation a campaign uses.
         """
-        positions = sample_flip_positions(math.prod(shape), self.p, rng, bits=self.bits)
-        return SparseMask.from_positions(positions, shape)
+        return sample_flip_positions(math.prod(shape), self.p, rng, bits=self.bits)
 
     def log_prob_mask(self, mask: np.ndarray) -> float:
         """log P(mask) under i.i.d. Bernoulli(p) bits.

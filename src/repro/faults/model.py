@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bits.float32 import apply_bit_mask
+from repro.bits.float32 import apply_bit_mask, mask_to_positions
 
 __all__ = ["FaultModel"]
 
@@ -25,8 +25,7 @@ class FaultModel:
         The base models are target-agnostic and return ``self``;
         target-aware wrappers (e.g. :class:`repro.protect.ProtectedFaultModel`,
         whose protected lanes differ per layer) override this. Campaign
-        plumbing calls it before every per-target draw or density
-        evaluation.
+        plumbing calls it before drawing or evaluating a target.
         """
         return self
 
@@ -38,17 +37,18 @@ class FaultModel:
         """
         raise NotImplementedError
 
-    def sample_sparse(self, shape: tuple[int, ...], rng: np.random.Generator):
-        """Draw a mask of ``shape`` as a :class:`~repro.faults.sparse.SparseMask`.
+    def sample_positions(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        """Draw a mask of ``shape`` as flat bit positions (``q`` is bit ``q % 32`` of element ``q // 32``).
 
-        Consumes exactly the same RNG draws as :meth:`sample_mask` and
-        denotes the same mask. The base implementation densifies then
-        converts; sparse-native models (Bernoulli) override it to stay O(K)
-        in the number of flipped bits.
+        The one draw primitive block sampling
+        (:meth:`~repro.faults.configuration.FaultConfiguration.sample_block`)
+        calls. It consumes exactly the same RNG draws as :meth:`sample_mask`
+        and denotes the same mask; duplicate positions denote one flip. The
+        base implementation reads the positions off the dense draw;
+        sparse-native models (Bernoulli) override it to stay O(K) in the
+        number of flipped bits.
         """
-        from repro.faults.sparse import SparseMask
-
-        return SparseMask.from_dense(self.sample_mask(shape, rng))
+        return mask_to_positions(self.sample_mask(shape, rng))
 
     def log_prob_sparse(self, sparse) -> float:
         """Log-probability of a :class:`~repro.faults.sparse.SparseMask` draw.

@@ -80,6 +80,19 @@ class SparseMask:
             raise ValueError("bit position out of range for shape")
         return cls(shape, elements, lane_masks)
 
+    @classmethod
+    def _trusted(cls, shape: tuple[int, ...], elements: np.ndarray, lane_masks: np.ndarray) -> "SparseMask":
+        """Wrap arrays already in canonical form (int64/uint32, aligned, range-checked).
+
+        No conversion or validation: block sampling slices one checked fold
+        into many rows, and pays the checks once for all of them.
+        """
+        sparse = object.__new__(cls)
+        sparse.shape = shape
+        sparse.elements = elements
+        sparse.lane_masks = lane_masks
+        return sparse
+
     # ------------------------------------------------------------------ #
     # views and statistics
     # ------------------------------------------------------------------ #

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batched import BatchedNetworkEvaluator, _State
-from repro.faults import FaultConfiguration
+from repro.faults import ConfigurationBlock, FaultConfiguration
 from repro.nn import Conv2d
 from repro.tensor import Tensor, conv2d
 
@@ -91,7 +91,8 @@ def test_run_conv_rows_match_conv2d(case):
     engine = BatchedNetworkEvaluator.__new__(BatchedNetworkEvaluator)
     engine.owners = dict.fromkeys(parameters, 0)
     with np.errstate(all="ignore"):
-        state = engine._run_conv(module, NAME, _State(entry, case["diverged"]), configurations)
+        block = ConfigurationBlock.of(configurations)
+        state = engine._run_conv(module, NAME, _State(entry, case["diverged"]), block)
     assert state.diverged and state.data.shape[:2] == (k, case["batch"])
 
     for row, configuration in enumerate(configurations):

@@ -24,6 +24,7 @@ from repro.core import (
 )
 from repro.faults import (
     BernoulliBitFlipModel,
+    ConfigurationBlock,
     FaultConfiguration,
     FaultSurface,
     TargetSpec,
@@ -47,7 +48,7 @@ def as_bits(array):
 
 
 def assert_bit_identical(engine, injector, configurations):
-    batched = engine.evaluate_logits(configurations)
+    batched = engine.evaluate_logits(ConfigurationBlock.of(configurations))
     for i, configuration in enumerate(configurations):
         reference = sequential_logits(injector, configuration)
         assert batched[i].dtype == reference.dtype
@@ -173,7 +174,7 @@ class TestBatchedBitIdentity:
         engine = lenet_injector._engine()
         empty = [FaultConfiguration.empty(lenet_injector.parameter_targets) for _ in range(3)]
         assert_bit_identical(engine, lenet_injector, empty)
-        for row in engine.evaluate_logits(empty):
+        for row in engine.evaluate_logits(ConfigurationBlock.of(empty)):
             assert np.array_equal(as_bits(row), as_bits(lenet_injector._golden_logits))
 
     @pytest.mark.parametrize("p", [1e-7, 1e-3, 0.5])
@@ -215,7 +216,7 @@ class TestBatchedBitIdentity:
 
     def test_empty_configuration_list_rejected(self, lenet_injector):
         with pytest.raises(ValueError, match="at least one"):
-            lenet_injector._engine().evaluate_logits([])
+            lenet_injector._engine().evaluate_logits(ConfigurationBlock.of([]))
 
     def test_flipped_exponent_becomes_hazard_row(self, trained_mlp, moons_eval):
         eval_x, eval_y = moons_eval
@@ -285,7 +286,7 @@ class TestBatchedBitIdentity:
             )
             for _ in range(4)
         ]
-        lenet_injector._engine().evaluate_logits(configurations)
+        lenet_injector._engine().evaluate_logits(ConfigurationBlock.of(configurations))
         assert_untouched(lenet_injector, golden)
 
 
@@ -363,7 +364,9 @@ class TestGoldenRows:
         assert [c.is_empty() for c in configurations] == [k not in ("live", "hazard") for k in kinds]
 
         fast_guard, standard_guard = NumericalHazardGuard(), NumericalHazardGuard()
-        logits = injector._engine().evaluate_logits(configurations, guard=fast_guard)
+        logits = injector._engine().evaluate_logits(
+            ConfigurationBlock.of(configurations), guard=fast_guard
+        )
         assert logits.shape[0] == len(configurations)
         for i, configuration in enumerate(configurations):
             reference = sequential_logits(injector, configuration)
@@ -408,7 +411,7 @@ class TestGoldenRows:
     def test_all_golden_chunk_runs_no_segment(self, lenet_injector, segment_calls):
         targets = lenet_injector.parameter_targets
         configurations = [FaultConfiguration.empty(targets), FaultConfiguration({})]
-        logits = lenet_injector._engine().evaluate_logits(configurations)
+        logits = lenet_injector._engine().evaluate_logits(ConfigurationBlock.of(configurations))
         assert segment_calls == []
         assert logits.shape == (2,) + lenet_injector.trace.logits.shape
         for row in logits:
@@ -461,18 +464,55 @@ class TestStackedParameter:
         engine = injector._engine()
         for name, param in targets:
             golden = param.data.copy()
-            stacked = engine._stacked_parameter(configurations, name, param.data)
+            stacked = engine._stacked_parameter(ConfigurationBlock.of(configurations), name, param.data)
             assert stacked.shape == (len(configurations),) + param.data.shape
             assert np.array_equal(
                 as_bits(stacked), as_bits(per_row_stack(configurations, name, golden))
             )
             assert np.array_equal(as_bits(param.data), as_bits(golden))
 
+    @pytest.mark.parametrize("p", [1e-5, 1e-3, 0.2])
+    @pytest.mark.parametrize("arch_injector", ["mlp", "lenet"], indirect=True)
+    def test_sampled_block_row_ranges(self, arch_injector, p, rng):
+        """A forward chain's chunks and live-row selections of a sampled block."""
+        targets = arch_injector.parameter_targets
+        block = FaultConfiguration.sample_block(targets, BernoulliBitFlipModel(p), rng, 21)
+        engine = arch_injector._engine()
+        live = np.flatnonzero(block.flips)
+        views = [block[start : start + 8] for start in range(0, 21, 8)]
+        views += [block[5:6], block[20:21], block, block.select(live), block.select(live[::2])]
+        for view in views:
+            if not len(view):
+                continue
+            for name, param in targets:
+                stacked = engine._stacked_parameter(view, name, param.data)
+                assert np.array_equal(as_bits(stacked), as_bits(per_row_stack(view.rows, name, param.data)))
+
+    def test_block_of_mixed_storage_rows(self, lenet_injector, rng):
+        """``ConfigurationBlock.of``: empty, target-less and dense-stored rows, whole and selected."""
+        targets = lenet_injector.parameter_targets
+        fault_model = BernoulliBitFlipModel(1e-3)
+        rows = [FaultConfiguration.sample(targets, fault_model, rng) for _ in range(6)]
+        for row in rows[1::2]:
+            for name, _ in targets:
+                row.mask(name)  # dense storage, as MCMC proposals leave it
+        rows.insert(1, FaultConfiguration.empty(targets))
+        rows.insert(4, FaultConfiguration({}))
+        rows.append(FaultConfiguration({targets[-1][0]: rows[0].mask(targets[-1][0]).copy()}))
+        engine = lenet_injector._engine()
+        block = ConfigurationBlock.of(rows)
+        selected = np.array([0, 2, 3, 5, 8])
+        for name, param in targets:
+            for view in (block, block.select(selected), ConfigurationBlock.of(rows).select(selected)):
+                stacked = engine._stacked_parameter(view, name, param.data)
+                assert np.array_equal(as_bits(stacked), as_bits(per_row_stack(view.rows, name, param.data)))
+
     def test_untouched_rows_stay_golden(self, lenet_injector):
         targets = lenet_injector.parameter_targets
         name, param = targets[0]
         configurations = [FaultConfiguration.empty(targets) for _ in range(3)]
-        stacked = lenet_injector._engine()._stacked_parameter(configurations, name, param.data)
+        block = ConfigurationBlock.of(configurations)
+        stacked = lenet_injector._engine()._stacked_parameter(block, name, param.data)
         for row in stacked:
             assert np.array_equal(as_bits(row), as_bits(param.data))
 

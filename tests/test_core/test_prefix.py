@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.core import BayesianFaultInjector
 from repro.core.prefix import forward_chain, run_chain
-from repro.faults import FaultConfiguration, TargetSpec
+from repro.faults import ConfigurationBlock, FaultConfiguration, TargetSpec
 from repro.nn import LeNet
 from repro.nn.module import Module
 from repro.tensor.tensor import Tensor, no_grad
@@ -112,7 +112,7 @@ class TestChainEdgeCases:
         )
         ev1 = BatchedNetworkEvaluator(inj1)
         ev2 = BatchedNetworkEvaluator(inj2)
-        empty = [FaultConfiguration.empty(inj1.parameter_targets)]
+        empty = ConfigurationBlock.of([FaultConfiguration.empty(inj1.parameter_targets)])
         with no_grad():
             golden1 = trained_mlp(inj1._x).data
             golden2 = trained_mlp(inj2._x).data
