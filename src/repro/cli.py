@@ -185,7 +185,7 @@ def _campaign_setup(args) -> tuple[BayesianFaultInjector, InjectorRecipe]:
     _, evaluation = workbench.build_data(args.train_size, args.eval_size)
     features, labels = evaluation.arrays()
     features, labels = features[: args.eval_size], labels[: args.eval_size]
-    spec = TargetSpec.weights_and_biases() if args.include_biases else TargetSpec()
+    spec = TargetSpec.weights_and_biases()
     fast = getattr(args, "fast", None)
     injector = BayesianFaultInjector(model, features, labels, spec=spec, seed=args.seed, fast=fast)
     recipe = InjectorRecipe.from_model(
@@ -207,7 +207,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2019)
     parser.add_argument("--train-size", type=int, default=800, help="dataset regeneration size")
     parser.add_argument("--eval-size", type=int, default=200, help="evaluation batch size")
-    parser.add_argument("--include-biases", action="store_true", default=True)
 
 
 def _add_durability(parser: argparse.ArgumentParser) -> None:
@@ -405,7 +404,7 @@ def _write_artifacts(args, session: obs.Session) -> None:
             print(f"{label} written to {path}{hint}", file=sys.stderr)
 
     trace_path = getattr(args, "trace", None)
-    if trace_path and session.tracer.enabled:
+    if trace_path and session.tracer is not None:
         _write("trace", trace_path, lambda: session.tracer.save(trace_path),
                hint=" (open in Perfetto)")
     profile_arg = getattr(args, "profile", None)

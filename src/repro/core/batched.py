@@ -289,7 +289,7 @@ class BatchedNetworkEvaluator:
             return np.broadcast_to(golden, (k,) + golden.shape)
         stack = np.empty((k,) + golden.shape, dtype=golden.dtype)
         stack[...] = golden
-        with obs.phase("flip.sparse"):
+        with obs.span("flip.sparse"):
             index, lanes = configurations.fold(name)
             if index.size:
                 stack.reshape(-1).view(np.uint32)[index] ^= lanes

@@ -199,7 +199,7 @@ class DeltaChainEvaluator:
                 continue
             # Nothing changed (e.g. a block resample redrew an identical —
             # often empty — mask): the committed logits are the candidate's.
-            with obs.phase("delta.reuse"):
+            with obs.span("delta.reuse"):
                 logits = sessions[index].logits()
             values[index] = guard.score(logits, labels)
             sessions[index].stage(candidates[index], None)
@@ -212,7 +212,7 @@ class DeltaChainEvaluator:
                 entry = self.segments.prefix
                 entry_diverged = False
             else:
-                with obs.phase("delta.reuse"):
+                with obs.span("delta.reuse"):
                     entry = np.stack([sessions[index].boundary(start) for index in members])
                 entry_diverged = True
             if metrics is not None:
@@ -223,7 +223,7 @@ class DeltaChainEvaluator:
                     metrics.inc("delta.cache.miss", len(members))
             rows = block.select(members)
             boundaries: list = []
-            with obs.phase("delta.recompute"):
+            with obs.span("delta.recompute"):
                 self.segments.run_segments(
                     rows, entry, start, entry_diverged, guard=guard, boundaries=boundaries
                 )

@@ -73,7 +73,6 @@ from repro.tensor.tensor import Tensor, no_grad
 from repro.train.metrics import classification_error
 from repro.utils.logging import get_logger
 from repro.utils.rng import RngFactory, spawn_generators
-from repro.utils.timing import Timer
 
 __all__ = ["BayesianFaultInjector"]
 
@@ -303,23 +302,22 @@ class BayesianFaultInjector:
             if self._active_metrics is not None:
                 _record_configurations(self._active_metrics, row)
             if engine is not None:
-                with obs.phase("forward.eval"):
+                with obs.span("forward.eval"):
                     logits = engine.evaluate_logits(row, guard=hazard_guard)[0]
                 return hazard_guard.score(logits, self.labels)
             if self._wants_parameters:
                 parameter_context = apply_configuration(self.model, configuration)
             else:  # transient-only campaign; the configuration is a placeholder
                 parameter_context = contextlib.nullcontext()
-            # Campaign-phase accounting (obs.phase is a nullcontext when no
-            # profiler is attached): the XOR mask application is billed to
-            # ``flip.apply``, the faulted forward pass to ``forward.eval``.
+            # Campaign-phase accounting: the XOR mask application is billed
+            # to ``flip.apply``, the faulted forward pass to ``forward.eval``.
             # Both are purely observational — clock reads only.
             with contextlib.ExitStack() as stack:
-                with obs.phase("flip.apply"):
+                with obs.span("flip.apply"):
                     stack.enter_context(parameter_context)
                 stack.enter_context(hazard_guard.capture())
                 stack.enter_context(self._transient_context(fault_model, rng))
-                with obs.phase("forward.eval"), no_grad():
+                with obs.span("forward.eval"), no_grad():
                     logits = self.model(self._x)
             return hazard_guard.score(logits, self.labels)
 
@@ -370,10 +368,10 @@ class BayesianFaultInjector:
         if profiler is not None:
             layer_context = obs.profile_module(self.model, profiler)
         try:
-            with obs.span(f"campaign.{spec.kind}", p=spec.p, stream=getattr(spec, "stream", None)):
-                with obs.phase(f"campaign.{spec.kind}"), layer_context:
-                    with Timer() as timer:
-                        outcome = handler(spec)
+            with obs.span(
+                f"campaign.{spec.kind}", p=spec.p, stream=getattr(spec, "stream", None)
+            ) as timed, layer_context:
+                outcome = handler(spec)
         finally:
             self._active_guard = None
             self._active_metrics = None
@@ -382,7 +380,7 @@ class BayesianFaultInjector:
             _LOGGER.info("campaign %s: %s", spec.kind, hazard)
         is_pair = isinstance(outcome, tuple)
         result = outcome[0] if is_pair else outcome
-        result = dataclasses.replace(result, duration_s=timer.elapsed, hazard=hazard)
+        result = dataclasses.replace(result, duration_s=timed.elapsed, hazard=hazard)
         digest = self._campaign_digest(campaign_metrics, result)
         result = dataclasses.replace(result, metrics=digest)
         obs.merge_metrics(digest)
@@ -622,7 +620,7 @@ class BayesianFaultInjector:
                         _record_configurations(self._active_metrics, block)
                     for start in range(0, len(block), _FAST_CHUNK):
                         chunk = block[start : start + _FAST_CHUNK]
-                        with obs.phase("forward.eval"):
+                        with obs.span("forward.eval"):
                             logits = engine.evaluate_logits(chunk, guard=guard)
                         values = guard.score_rows(logits, self.labels)
                         for value, flips in zip(values, chunk.flips.tolist()):

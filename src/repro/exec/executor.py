@@ -364,9 +364,11 @@ def _worker_main(task: CampaignTask, connection, obs_config: obs.WorkerObsConfig
         with obs_config.session() as session:
             if chaos_ctx is not None:
                 _enact_worker_chaos(chaos_ctx)
-            with obs.span("worker.task", kind=task.spec.kind, p=task.spec.p):
+            # the campaign span is a sibling, not a child, of the build span,
+            # so its profile path is the same as on the in-process path
+            with obs.span("worker.build", kind=task.spec.kind, p=task.spec.p):
                 injector = task.recipe.build()
-                result = injector.run(task.spec)
+            result = injector.run(task.spec)
             connection.send(("ok", result, session.worker_report()))
     except BaseException as exc:  # noqa: BLE001 — everything must cross the pipe
         try:
@@ -620,8 +622,7 @@ class ParallelCampaignExecutor:
         from repro.exec.journal import JournalWriteError
 
         try:
-            with obs.phase("journal.fsync"):
-                self.journal.record(key, outcome)
+            self.journal.record(key, outcome)
         except (JournalWriteError, OSError) as exc:
             self.stats.journal_errors += 1
             if self.on_failure == "abort":
@@ -753,7 +754,7 @@ class ParallelCampaignExecutor:
             if entry.connection.poll(0):
                 self.stats.note_gap(clock_s() - entry.last_beat)
                 try:
-                    with obs.phase("ipc.recv"):
+                    with obs.span("ipc.recv"):
                         message = entry.connection.recv()
                     status, payload = message[0], message[1]
                     report = message[2] if len(message) > 2 else None
@@ -849,8 +850,9 @@ class ParallelCampaignExecutor:
         already pid-tagged so Perfetto shows them on worker tracks.
         """
         obs.merge_campaign_metrics(payload)
-        if report and report.get("trace"):
-            obs.tracer().merge(report["trace"])
+        driver_tracer = obs.tracer()
+        if report and report.get("trace") and driver_tracer is not None:
+            driver_tracer.merge(report["trace"])
         if report and report.get("profile"):
             driver_profiler = obs.profiler()
             if driver_profiler is not None:

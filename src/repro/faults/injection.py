@@ -67,7 +67,7 @@ def apply_configuration(model: Module, configuration: FaultConfiguration) -> Ite
                 data[...] = apply_bit_mask(data, configuration.mask(name))
                 saved.append((data, None, golden))
             else:
-                with obs.phase("flip.sparse"):
+                with obs.span("flip.sparse"):
                     flat = data.reshape(-1)
                     golden = flat[sparse.elements]  # fancy indexing copies
                     flat.view(np.uint32)[sparse.elements] ^= sparse.lane_masks

@@ -26,7 +26,6 @@ from repro.bits.float32 import (
     BITS_PER_FLOAT,
     count_set_bits,
     mask_to_sparse,
-    positions_to_sparse,
     sparse_to_mask,
 )
 
@@ -68,19 +67,6 @@ class SparseMask:
         return cls(mask.shape, elements, lane_masks)
 
     @classmethod
-    def from_positions(cls, positions: np.ndarray, shape: tuple[int, ...]) -> "SparseMask":
-        """Build from flat bit positions (as drawn by the samplers).
-
-        The positions are sorted and folded run by run
-        (:func:`repro.bits.positions_to_sparse`), O(K log K) in the number
-        of flipped bits; the range check reads the sorted ends.
-        """
-        elements, lane_masks = positions_to_sparse(positions)
-        if elements.size and (elements[0] < 0 or elements[-1] >= math.prod(shape)):
-            raise ValueError("bit position out of range for shape")
-        return cls(shape, elements, lane_masks)
-
-    @classmethod
     def _trusted(cls, shape: tuple[int, ...], elements: np.ndarray, lane_masks: np.ndarray) -> "SparseMask":
         """Wrap arrays already in canonical form (int64/uint32, aligned, range-checked).
 
@@ -118,7 +104,7 @@ class SparseMask:
         return sparse_to_mask(self.elements, self.lane_masks, self.shape)
 
     def to_positions(self) -> np.ndarray:
-        """Sorted flat bit positions, O(32 K); inverse of :meth:`from_positions`."""
+        """Sorted flat bit positions, O(32 K)."""
         if self.is_empty():
             return np.empty(0, dtype=np.int64)
         lanes = np.arange(BITS_PER_FLOAT, dtype=np.uint32)

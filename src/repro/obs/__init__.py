@@ -1,11 +1,11 @@
 """repro.obs — zero-dependency campaign observability.
 
 The instrumentation spine of the library: a :class:`MetricsRegistry`
-(counters/gauges/histograms with snapshot/merge reduction), a
-:class:`Tracer` emitting Chrome-trace JSON viewable in Perfetto, a
-:class:`Profiler`, and a pluggable live :class:`ProgressSink` stream —
-wired through every execution layer (injector campaigns, worker pools,
-journal fsyncs, MCMC chain loops).
+(counters/gauges/histograms with snapshot/merge reduction), one
+:func:`span` timer whose readings feed both a :class:`Tracer` (Chrome-trace
+JSON viewable in Perfetto) and a :class:`Profiler`, and a pluggable live
+:class:`ProgressSink` stream — wired through every execution layer
+(injector campaigns, worker pools, journal fsyncs, MCMC chain loops).
 
 Every instrument of one run belongs to one :class:`Session`: the metrics
 registry, tracer, profiler, progress sinks, the status fold
@@ -16,14 +16,17 @@ stops the server, closes every sink, restores the ``SIGUSR1`` handler
 and reinstates the previous session. Outside any ``with`` block an empty
 session is current, so the instrumentation sites below cost a no-op:
 
-* :func:`tracer` / :func:`span` — the session's tracer (disabled unless
-  tracing is on);
+* :func:`span` — times a region with two clock readings and feeds both
+  to the session's tracer (one Chrome-trace event) and profiler (one
+  dotted phase), whichever are on, so the trace and the profile cover
+  the same regions; the caller can read the span's ``elapsed``;
+* :func:`tracer` / :func:`profiler` — the session's tracer and profiler,
+  or ``None`` when off;
 * :func:`metrics` — the session's run-wide registry, or ``None`` when
   detailed metrics are off (campaigns still stamp their own per-campaign
   digest either way);
 * :func:`publish` — one loop over the session's sinks; :func:`listening`
-  tells a site whether building an event payload is worth it;
-* :func:`profiler` / :func:`phase` — the session's profiler, or a no-op.
+  tells a site whether building an event payload is worth it.
 
 Worker processes never share the parent's session: the executor captures
 a picklable :class:`WorkerObsConfig` (:meth:`Session.worker_config`) and
@@ -39,7 +42,6 @@ ones.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import signal
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ from typing import Iterable, Mapping
 from repro.obs import profile as _profile_mod
 from repro.obs.flight import FlightRecorder, enable_signal_dump
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import Profiler, profile_module
+from repro.obs.profile import Profiler, clock_s, profile_module
 from repro.obs.progress import JsonlSink, MemorySink, ProgressEvent, ProgressSink, StderrSink
 from repro.obs.schema import SCHEMA_VERSION, artifact_stamp, artifact_version
 from repro.obs.trace import Tracer
@@ -78,7 +80,6 @@ __all__ = [
     "tracer",
     "profiler",
     "span",
-    "phase",
     "listening",
     "publish",
     "merge_metrics",
@@ -122,7 +123,7 @@ class Session:
         verbosity: int | str | None = None,
     ) -> None:
         self.metrics = _instrument(metrics, MetricsRegistry)
-        self.tracer = tracer if isinstance(tracer, Tracer) else Tracer(enabled=bool(tracer))
+        self.tracer = _instrument(tracer, Tracer)
         self.profiler = _instrument(profiler, Profiler)
         self.server = None
         if serve is not None:
@@ -180,7 +181,7 @@ class Session:
         """This session's instrument switches, for a worker to rebuild."""
         return WorkerObsConfig(
             verbosity=get_verbosity(),
-            trace=self.tracer.enabled,
+            trace=self.tracer is not None,
             detailed_metrics=self.metrics is not None,
             profile=self.profiler is not None,
         )
@@ -188,7 +189,7 @@ class Session:
     def worker_report(self) -> dict:
         """Worker-side observations to ship back over the result pipe."""
         report: dict = {}
-        if self.tracer.enabled:
+        if self.tracer is not None:
             events = self.tracer.drain()
             if events:
                 report["trace"] = events
@@ -265,8 +266,8 @@ def metrics() -> MetricsRegistry | None:
     return _current.metrics
 
 
-def tracer() -> Tracer:
-    """The session's tracer (a disabled no-op tracer by default)."""
+def tracer() -> Tracer | None:
+    """The session's tracer, or ``None`` (tracing off)."""
     return _current.tracer
 
 
@@ -275,17 +276,50 @@ def profiler() -> Profiler | None:
     return _current.profiler
 
 
-def span(name: str, **args):
-    """``tracer().span(...)`` shorthand for instrumentation sites."""
-    return _current.tracer.span(name, **args)
+class _Span:
+    """One timed region of :func:`span`."""
+
+    __slots__ = ("name", "category", "args", "elapsed", "_session", "_start")
+
+    def __init__(self, name: str, category: str, args: dict) -> None:
+        self.name = name
+        self.category = category
+        self.args = args
+        #: seconds between the entry and exit clock readings (set on exit)
+        self.elapsed = 0.0
+
+    def __enter__(self) -> "_Span":
+        self._session = session = _current
+        self._start = start = clock_s()
+        if session.profiler is not None:
+            session.profiler._phase_enter(self.name, start)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        end = clock_s()
+        self.elapsed = end - self._start
+        session = self._session
+        if session.profiler is not None:
+            session.profiler._phase_exit(self.name, end)
+        if session.tracer is not None:
+            session.tracer.complete(self.name, self.category, self._start, end, self.args)
 
 
-def phase(name: str):
-    """``profiler().phase(...)`` shorthand; a no-op when profiling is off."""
-    profiler_ = _current.profiler
-    if profiler_ is None:
-        return contextlib.nullcontext()
-    return profiler_.phase(name)
+def span(name: str, category: str = "repro", **args) -> _Span:
+    """Time the enclosed block once, for the trace and the profile alike.
+
+    Reads :func:`~repro.obs.profile.clock_s` on entry and on exit (also
+    when the body raises). From those two readings it appends one
+    Chrome-trace complete event if the session traces (``category`` and
+    ``args`` ride on it; keep ``args`` small), folds one call into the
+    profiler's dotted phase table if the session profiles (nested spans
+    form ``outer/inner`` paths), and sets the span's ``elapsed``::
+
+        with obs.span("campaign.forward", p=1e-3) as timed:
+            ...
+        duration_s = timed.elapsed
+    """
+    return _Span(name, category, args)
 
 
 def listening() -> bool:

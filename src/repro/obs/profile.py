@@ -1,8 +1,8 @@
 """Deterministic, opt-in profiling: per-op counters, per-layer time, phases.
 
-The :class:`Profiler` answers the question PR 3's tracer cannot: *where*
-inside a 4-second worker span the time went — 70% ``Conv2d`` forward versus
-bit-flip application versus journal fsync. It observes three granularities:
+The :class:`Profiler` answers *where* inside a 4-second worker span the
+time went — 70% ``Conv2d`` forward versus bit-flip application versus
+journal fsync. It observes three granularities:
 
 * **per-op counters** — every tensor-engine operation that goes through
   :meth:`repro.tensor.tensor.Tensor._make` records its call count, an
@@ -18,9 +18,12 @@ bit-flip application versus journal fsync. It observes three granularities:
   self time attributed through the autodiff tape (ops record which layer
   was live when they were created; their wrapped backward closures bill
   that layer);
-* **phases** — coarse campaign accounting (``forward.eval`` vs
-  ``flip.apply`` vs ``journal.fsync`` vs ``ipc.recv``) via the
-  :meth:`Profiler.phase` context manager, nested into a dotted stack.
+* **phases** — every :func:`repro.obs.span` region (``sweep``,
+  ``campaign.forward``, ``forward.eval``, ``flip.apply``,
+  ``journal.fsync``, ``ipc.recv``, …), nested into a dotted stack. The
+  span reads the clock once on entry and once on exit and feeds both
+  readings to the profiler and the session's tracer, so the profile's
+  phase table and the trace cover the same regions with the same times.
 
 Everything is strictly *passive*: the profiler only reads clocks and
 counts — it never touches an RNG stream, never replaces a hook value, and
@@ -32,8 +35,8 @@ This module also owns the library's **canonical clock**: every duration in
 repro comes from :func:`clock_s` / :func:`clock_ns` (``time.perf_counter``
 — monotonic, highest resolution, comparable across fork-started workers on
 one host); wall-clock time is reserved for *display* timestamps via
-:func:`wall_display`. ``repro.utils.timing.Timer`` and the trace clock are
-thin shims over these.
+:func:`wall_display`. ``repro.utils.timing.Timer`` and :func:`repro.obs.span`
+read this clock.
 
 Reduction follows the PR 3 metrics pattern: :meth:`Profiler.snapshot`
 freezes everything into a picklable JSON-clean dict, :meth:`Profiler.merge`
@@ -48,7 +51,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Iterable
 
@@ -175,6 +178,23 @@ def _estimate_flops(op: str, out_data, parents: tuple) -> float:
     return size
 
 
+def _close(stack: list[_Frame], name: str, now: float) -> tuple[_Frame, float] | None:
+    """Pop ``stack`` down to the frame named ``name``; it and its cumulative seconds.
+
+    The cumulative time is billed to the parent frame's child time. An
+    exception inside a child can leave orphans above the frame, which are
+    dropped rather than mis-billed.
+    """
+    while stack:
+        frame = stack.pop()
+        if frame.name == name:
+            cum = now - frame.started
+            if stack:
+                stack[-1].child_s += cum
+            return frame, cum
+    return None
+
+
 class Profiler:
     """Passive per-op / per-layer / per-phase profiler.
 
@@ -254,58 +274,39 @@ class Profiler:
     def _layer_exit(self, name: str) -> None:
         now = clock_s()
         self.reset_op_clock()
-        # Unwind to the matching frame; an exception inside a child forward
-        # can leave orphans, which are dropped rather than mis-billed.
-        while self._layer_stack:
-            frame = self._layer_stack.pop()
-            if frame.name == name:
-                cum = now - frame.started
-                stats = self.layers.get(name)
-                if stats is None:
-                    stats = self.layers.setdefault(name, LayerStats())
-                stats.calls += 1
-                stats.forward_cum_s += cum
-                stats.forward_self_s += max(0.0, cum - frame.child_s)
-                if self._layer_stack:
-                    self._layer_stack[-1].child_s += cum
-                return
+        closed = _close(self._layer_stack, name, now)
+        if closed is not None:
+            frame, cum = closed
+            stats = self.layers.get(name)
+            if stats is None:
+                stats = self.layers.setdefault(name, LayerStats())
+            stats.calls += 1
+            stats.forward_cum_s += cum
+            stats.forward_self_s += max(0.0, cum - frame.child_s)
 
     # ------------------------------------------------------------------ #
-    # phase accounting
+    # phase accounting (driven by repro.obs.span)
     # ------------------------------------------------------------------ #
 
-    @contextlib.contextmanager
-    def phase(self, name: str):
-        """Time a campaign phase; nested phases form dotted paths.
-
-        >>> profiler = Profiler()
-        >>> with profiler.phase("campaign"):
-        ...     with profiler.phase("forward.eval"):
-        ...         pass
-        >>> sorted(profiler.phases)
-        ['campaign', 'campaign/forward.eval']
-        """
+    def _phase_enter(self, name: str, started: float) -> None:
+        """Open a phase at clock reading ``started``; nested phases form dotted paths."""
+        self.reset_op_clock()
         parent = self._phase_stack[-1].path if self._phase_stack else None
         path = f"{parent}/{name}" if parent else name
-        frame = _Frame(name=name, path=path, started=clock_s())
-        self._phase_stack.append(frame)
+        self._phase_stack.append(_Frame(name=name, path=path, started=started))
+
+    def _phase_exit(self, name: str, now: float) -> None:
+        """Close the phase ``name`` at clock reading ``now``."""
         self.reset_op_clock()
-        try:
-            yield
-        finally:
-            now = clock_s()
-            self.reset_op_clock()
-            if self._phase_stack and self._phase_stack[-1] is frame:
-                self._phase_stack.pop()
-            cum = now - frame.started
-            stats = self.phases.get(path)
+        closed = _close(self._phase_stack, name, now)
+        if closed is not None:
+            frame, cum = closed
+            stats = self.phases.get(frame.path)
             if stats is None:
-                stats = self.phases.setdefault(path, PhaseStats())
+                stats = self.phases.setdefault(frame.path, PhaseStats())
             stats.count += 1
             stats.cum_s += cum
             stats.self_s += max(0.0, cum - frame.child_s)
-            if self._phase_stack:
-                self._phase_stack[-1].child_s += cum
 
     # ------------------------------------------------------------------ #
     # reduction

@@ -1,27 +1,28 @@
-"""Trace spans in Chrome-trace format, viewable in Perfetto.
+"""The trace event store, in Chrome-trace format, viewable in Perfetto.
 
-A :class:`Tracer` records *complete* events (``ph: "X"``) — named spans
-with microsecond start/duration from the monotonic clock, tagged with the
-recording process id and thread id — plus *instant* events for point
-occurrences. The export format is the Chrome Trace Event JSON object
-(``{"traceEvents": [...]}``), which loads directly in
-https://ui.perfetto.dev or ``chrome://tracing``.
+A :class:`Tracer` holds *complete* events (``ph: "X"``): named spans with
+microsecond start/duration from the library's monotonic clock, tagged
+with the recording process id and thread id. The export format is the
+Chrome Trace Event JSON object (``{"traceEvents": [...]}``), which loads
+directly in https://ui.perfetto.dev or ``chrome://tracing``.
 
-Spans nest naturally through the context-manager API::
+The tracer does not time anything itself. :func:`repro.obs.span` reads
+the clock on entry and exit and hands both readings to
+:meth:`Tracer.complete` (and the same two readings to the session's
+profiler), so the trace and the profile cover the same regions::
 
-    with tracer.span("executor.execute", tasks=13):
-        with tracer.span("campaign.forward", p=1e-3):
-            ...
+    with obs.Session(tracer=True) as session:
+        with obs.span("sweep", points=13):
+            with obs.span("campaign.forward", p=1e-3):
+                ...
+    session.tracer.save("trace.json")
 
 Worker processes record into their own tracer (fresh per process, so the
 pid tag is honest) and ship the drained event list back over the result
 pipe; the driver merges them, so one trace file shows the driver timeline
 and every worker's campaign spans side by side as separate process
-tracks.
-
-The default tracer is *disabled*: ``span`` is a no-op yield and nothing
-allocates, so instrumentation sites cost almost nothing until a trace is
-requested (CLI ``--trace PATH`` or ``repro.obs.Session(tracer=True)``).
+tracks. A session without tracing has no tracer at all
+(``Session.tracer is None``).
 """
 
 from __future__ import annotations
@@ -29,83 +30,38 @@ from __future__ import annotations
 import json
 import os
 import threading
-from contextlib import contextmanager
+from typing import Mapping
 
-from repro.obs.profile import clock_s
 from repro.utils.persist import atomic_write_bytes, sanitize_nonfinite
 
 __all__ = ["Tracer"]
 
 
-def _now_us() -> float:
-    """Monotonic timestamp in microseconds (Chrome-trace time unit).
-
-    Rides the library's canonical duration clock
-    (:func:`repro.obs.profile.clock_s`, i.e. ``perf_counter``) —
-    CLOCK_MONOTONIC-based on Linux, so timestamps are comparable across
-    fork-started worker processes on the same host.
-    """
-    return clock_s() * 1e6
-
-
 class Tracer:
-    """Span recorder emitting Chrome-trace ``traceEvents``."""
+    """Chrome-trace ``traceEvents`` store."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.events: list[dict] = []
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------ #
-    # recording
-    # ------------------------------------------------------------------ #
+    def complete(self, name: str, category: str, start_s: float, end_s: float, args: Mapping) -> None:
+        """Append one complete event spanning two :func:`~repro.obs.profile.clock_s` readings.
 
-    @contextmanager
-    def span(self, name: str, category: str = "repro", **args):
-        """Record a complete event around the enclosed block.
-
-        ``args`` become the span's ``args`` payload (shown on click in
-        Perfetto); keep them small and JSON-representable.
+        ``args`` become the event's ``args`` payload (shown on click in
+        Perfetto); values that are not JSON scalars are stored as their
+        ``repr``.
         """
-        if not self.enabled:
-            yield
-            return
-        start = _now_us()
-        try:
-            yield
-        finally:
-            end = _now_us()
-            self._append(
-                {
-                    "name": name,
-                    "cat": category,
-                    "ph": "X",
-                    "ts": start,
-                    "dur": end - start,
-                    "pid": os.getpid(),
-                    "tid": threading.get_ident(),
-                    "args": {key: _clean(value) for key, value in args.items()},
-                }
-            )
-
-    def instant(self, name: str, category: str = "repro", **args) -> None:
-        """Record a zero-duration instant event (scope: thread)."""
-        if not self.enabled:
-            return
-        self._append(
-            {
-                "name": name,
-                "cat": category,
-                "ph": "i",
-                "s": "t",
-                "ts": _now_us(),
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-                "args": {key: _clean(value) for key, value in args.items()},
-            }
-        )
-
-    def _append(self, event: dict) -> None:
+        start_us = start_s * 1e6
+        event = {
+            "name": name,
+            "cat": category,
+            "ph": "X",
+            "ts": start_us,
+            "dur": end_s * 1e6 - start_us,
+            "pid": os.getpid(),
+            "tid": threading.get_ident(),
+            "args": {key: _clean(value) for key, value in args.items()},
+        }
         with self._lock:
             self.events.append(event)
 
@@ -153,7 +109,7 @@ class Tracer:
             return len(self.events)
 
     def __repr__(self) -> str:
-        return f"Tracer(enabled={self.enabled}, events={len(self)})"
+        return f"Tracer(events={len(self)})"
 
 
 def _clean(value):

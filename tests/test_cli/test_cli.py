@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cli import WORKBENCHES, build_parser, main
+from repro.faults import TargetSpec
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +41,38 @@ class TestParser:
         for name, workbench in WORKBENCHES.items():
             model = workbench.build_model()
             assert model.num_parameters() > 0, name
+
+
+class TestFaultTargets:
+    """Campaign commands target every weight and every bias."""
+
+    @pytest.mark.parametrize("command", ["campaign", "sweep"])
+    def test_every_bias_is_a_target(self, golden_checkpoint, monkeypatch, command):
+        import repro.cli as cli
+
+        built = []
+        setup = cli._campaign_setup
+
+        def capture(args):
+            built.append(setup(args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_campaign_setup", capture)
+        argv = [command, golden_checkpoint, "--workbench", "mlp-moons", "--samples", "8"]
+        if command == "sweep":
+            argv += ["--points", "5"]
+        assert main(argv) == 0
+        ((injector, recipe),) = built
+        biases = {name for name, _ in injector.model.named_parameters() if name.endswith(".bias")}
+        targets = {name for name, _ in injector.parameter_targets}
+        assert biases and biases <= targets
+        assert recipe.target_spec == TargetSpec.weights_and_biases()
+
+    def test_include_biases_flag_is_gone(self, golden_checkpoint):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["campaign", golden_checkpoint, "--workbench", "mlp-moons", "--include-biases"]
+            )
 
 
 class TestTrain(object):

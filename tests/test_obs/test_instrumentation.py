@@ -147,7 +147,7 @@ class TestExecutorParity:
         workers = {
             event["pid"]
             for event in session.tracer.events
-            if event["name"] == "worker.task"
+            if event["name"] == "worker.build"
         }
         assert workers and os.getpid() not in workers  # honest per-process tags
         names = {event["name"] for event in session.tracer.events}
@@ -206,7 +206,7 @@ class TestWorkerPropagation:
             with config.session():
                 assert get_verbosity() == logging.DEBUG
                 assert obs.metrics() is not None
-                assert obs.tracer().enabled and len(obs.tracer()) == 0  # nothing inherited
+                assert obs.tracer() is not None and len(obs.tracer()) == 0  # nothing inherited
                 assert not obs.listening()  # sinks never cross the process boundary
             assert obs.listening()  # the enclosing session is back
         assert get_verbosity() == logging.WARNING
@@ -214,7 +214,7 @@ class TestWorkerPropagation:
     def test_default_config_disables_everything(self):
         with obs.Session(metrics=True, tracer=True, sinks=[MemorySink()]):
             with obs.WorkerObsConfig().session():
-                assert obs.metrics() is None and not obs.tracer().enabled
+                assert obs.metrics() is None and obs.tracer() is None
 
 
 class TestJournalDigests:

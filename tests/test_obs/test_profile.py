@@ -157,12 +157,11 @@ class TestLayerTiming:
 
 
 class TestPhases:
-    def test_nested_phases_form_dotted_paths(self):
-        profiler = Profiler()
-        with profiler.phase("campaign.forward"):
-            with profiler.phase("flip.apply"):
+    def test_nested_phases_form_dotted_paths(self, profiler):
+        with obs.span("campaign.forward"):
+            with obs.span("flip.apply"):
                 pass
-            with profiler.phase("forward.eval"):
+            with obs.span("forward.eval"):
                 pass
         assert set(profiler.phases) == {
             "campaign.forward",
@@ -177,10 +176,30 @@ class TestPhases:
         assert outer.cum_s >= children
         assert outer.self_s == pytest.approx(outer.cum_s - children, abs=1e-6)
 
-    def test_obs_phase_is_noop_when_detached(self):
+    def test_span_cum_time_is_its_elapsed(self, profiler):
+        with obs.span("campaign") as outer:
+            with obs.span("forward.eval") as inner:
+                pass
+        assert profiler.phases["campaign"].cum_s == outer.elapsed
+        assert profiler.phases["campaign/forward.eval"].cum_s == inner.elapsed
+        assert profiler.phases["campaign"].self_s == pytest.approx(
+            outer.elapsed - inner.elapsed, abs=1e-12
+        )
+
+    def test_span_counts_a_raising_body(self, profiler):
+        with pytest.raises(RuntimeError):
+            with obs.span("campaign"):
+                with obs.span("forward.eval"):
+                    raise RuntimeError("boom")
+        assert profiler.phases["campaign"].count == 1
+        assert profiler.phases["campaign/forward.eval"].count == 1
+        assert not profiler._phase_stack
+
+    def test_span_is_noop_when_detached(self):
         assert obs.profiler() is None
-        with obs.phase("anything"):
+        with obs.span("anything"):
             pass  # must not raise, must not create a profiler
+        assert obs.profiler() is None
 
 
 class TestReduction:
@@ -190,7 +209,7 @@ class TestReduction:
         profiler.record_tensor_op("matmul", out, (), flops=54.0)
         profiler._layer_enter("layers.0")
         profiler._layer_exit("layers.0")
-        with profiler.phase("campaign"):
+        with obs.Session(profiler=profiler), obs.span("campaign"):
             pass
         return profiler
 
@@ -234,8 +253,8 @@ class TestReporting:
         profiler.record_tensor_op("matmul", out, (), flops=1e6)
         profiler._layer_enter("layers.0")
         profiler._layer_exit("layers.0")
-        with profiler.phase("campaign.forward"):
-            with profiler.phase("forward.eval"):
+        with obs.Session(profiler=profiler), obs.span("campaign.forward"):
+            with obs.span("forward.eval"):
                 pass
         return profiler
 
