@@ -6,8 +6,6 @@ paper's two-regime curves (23 of 32 lanes are near-harmless mantissa bits;
 high exponent bits are catastrophic).
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.baselines import ExhaustiveBitInjector
 from repro.bits import bit_field

@@ -9,8 +9,6 @@ Two demonstrations:
    estimate.
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.core import BayesianFaultInjector
 from repro.faults import TargetSpec

@@ -6,8 +6,6 @@ Bernoulli-AVF fault draw changes the prediction, render the log-probability
 field, and verify finding F1 (errors concentrate at the boundary).
 """
 
-import numpy as np
-
 from repro.analysis import format_table, heatmap
 from repro.core import DecisionBoundaryAnalysis
 from repro.faults import BernoulliBitFlipModel

@@ -10,8 +10,6 @@ campaign. Two validations:
    Monte Carlo, with the exact severe-flip probability splitting the mass.
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.core import BayesianFaultInjector
 from repro.faults import BernoulliBitFlipModel, TargetSpec

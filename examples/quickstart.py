@@ -11,8 +11,6 @@ Walks the paper's four-step procedure end to end:
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.analysis import histogram_plot
 from repro.core import BayesianFaultInjector
 from repro.data import ArrayDataset, DataLoader, two_moons

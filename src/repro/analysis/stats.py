@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.bayes.intervals import central_tails
 from repro.utils.rng import as_generator
@@ -99,6 +98,8 @@ def rank_correlation(x: np.ndarray, y: np.ndarray) -> dict[str, float]:
         raise ValueError("need at least 3 points for rank correlation")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return dict(NO_CORRELATION)
+    from scipy import stats as sps
+
     spearman = sps.spearmanr(x, y)
     kendall = sps.kendalltau(x, y)
     return {

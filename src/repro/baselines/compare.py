@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats as sps
-
 __all__ = ["wilson_interval", "EstimatorComparison", "compare_estimators"]
 
 
@@ -31,6 +29,8 @@ def wilson_interval(hits: int, trials: int, confidence: float = 0.95) -> tuple[f
         raise ValueError(f"hits must be in [0, {trials}], got {hits}")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    from scipy import stats as sps
+
     z = float(sps.norm.ppf(0.5 + confidence / 2))
     phat = hits / trials
     denom = 1 + z * z / trials
@@ -117,6 +117,8 @@ def compare_estimators(
         z = 0.0
         p_value = 1.0
     else:
+        from scipy import stats as sps
+
         z = (p_a - p_b) / math.sqrt(variance)
         p_value = float(2 * sps.norm.sf(abs(z)))
     return EstimatorComparison(

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.compare import wilson_interval
 from repro.faults.configuration import FaultConfiguration
 from repro.faults.injection import apply_configuration
 from repro.faults.targets import TargetSpec, resolve_parameter_targets

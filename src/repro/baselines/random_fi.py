@@ -26,7 +26,6 @@ import numpy as np
 from repro.baselines.compare import wilson_interval
 from repro.faults.configuration import FaultConfiguration
 from repro.faults.injection import apply_configuration
-from repro.faults.single import SingleBitFlipModel
 from repro.faults.targets import TargetSpec, resolve_parameter_targets
 from repro.nn.module import Module
 from repro.tensor.tensor import Tensor, no_grad

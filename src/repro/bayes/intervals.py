@@ -23,6 +23,7 @@ matching support bound (``lo → 0``, ``hi → 1``), never ``NaN``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import betaincinv
 
 __all__ = ["central_tails", "clamp_unit_interval", "beta_central_interval"]
 
@@ -65,15 +66,18 @@ def beta_central_interval(a, b, mass: float = 0.95):
     ``[0, 1]`` even for near-degenerate posteriors (``k = 0`` / ``k = n``
     conjugate updates), where the raw ``ppf`` may underflow or go
     non-finite; see :func:`clamp_unit_interval` for the repair rule.
-    """
-    from scipy import stats as sps
 
+    The quantiles come from ``scipy.special.betaincinv``, which wraps the
+    same Boost ``ibeta_inv`` routine as ``scipy.stats.beta.ppf``: the
+    endpoints are bitwise the ``ppf`` ones, without importing
+    ``scipy.stats``.
+    """
     lo_q, hi_q = central_tails(mass)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     with np.errstate(all="ignore"):
-        lo = sps.beta.ppf(lo_q, a, b)
-        hi = sps.beta.ppf(hi_q, a, b)
+        lo = betaincinv(a, b, lo_q)
+        hi = betaincinv(a, b, hi_q)
     if np.ndim(lo) == 0:
         return clamp_unit_interval(float(lo), float(hi))
     lo = np.where(np.isfinite(lo), np.clip(lo, 0.0, 1.0), 0.0)

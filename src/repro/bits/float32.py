@@ -36,6 +36,7 @@ __all__ = [
     "mask_to_sparse",
     "sparse_to_mask",
     "positions_to_sparse",
+    "fold_positions",
     "sample_bernoulli_mask",
     "count_set_bits",
 ]
@@ -182,9 +183,18 @@ def positions_to_sparse(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     over the runs of equal elements: O(K log K) in the number of flipped
     bits, never touching the dense element space, which is what makes
     small-p sampling cheap end to end. Duplicate positions fold to one
-    lane bit; the input order does not matter.
+    lane bit; the input order does not matter, and the input is never
+    modified.
     """
-    positions = np.array(positions, dtype=np.int64).reshape(-1)
+    return fold_positions(np.array(positions, dtype=np.int64).reshape(-1))
+
+
+def fold_positions(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`positions_to_sparse` of a 1-D int64 array, sorted in place.
+
+    For a caller that owns a freshly built array (the block sampler's
+    offset positions) and so need not pay for a defensive copy.
+    """
     if positions.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)
     positions.sort()

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.faults.bernoulli import BernoulliBitFlipModel
 from repro.faults.configuration import FaultConfiguration
@@ -60,6 +59,8 @@ class BoundaryMap:
         F1 predicts strongly negative ρ: far from the boundary, faults
         rarely change the decision.
         """
+        from scipy import stats as sps
+
         distance = self.boundary_distance.reshape(-1)
         flips = self.flip_probability.reshape(-1)
         result = sps.spearmanr(distance, flips)

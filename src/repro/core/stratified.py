@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.bits.float32 import BITS_PER_FLOAT, positions_to_mask
 from repro.core.campaign import CampaignResult
@@ -172,6 +171,8 @@ class StratifiedErrorEstimator:
         """(k values, P(K=k)) covering all but ``mass_tolerance`` of the mass."""
         if not 0 < p < 1:
             raise ValueError(f"flip probability must be in (0, 1), got {p}")
+        from scipy import stats as sps
+
         k_max = int(sps.binom.ppf(1.0 - self.mass_tolerance, self.total_bits, p))
         k_max = min(max(k_max, 1), self.max_strata)
         ks = np.arange(0, k_max + 1)

@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.bits.float32 import BITS_PER_FLOAT, count_set_bits, mask_to_positions, positions_to_sparse
+from repro.bits.float32 import BITS_PER_FLOAT, count_set_bits, fold_positions, mask_to_positions
 from repro.faults.model import FaultModel
 from repro.faults.sparse import SparseMask
 from repro.nn.module import Parameter
@@ -92,7 +92,7 @@ class FaultConfiguration:
         in the same state. Only the work after the draws is shared: per
         target, the rows' positions are offset by row into the stacked bit
         space, range-checked once and folded once
-        (:func:`~repro.bits.float32.positions_to_sparse`). Each row's
+        (:func:`~repro.bits.float32.fold_positions`). Each row's
         sparse masks are unvalidated slices of that fold, and the fold
         itself becomes the block's per-target (index, lane) pair.
         """
@@ -116,7 +116,8 @@ class FaultConfiguration:
             raw = np.concatenate(positions).astype(np.int64, copy=False)
             if raw.size and (raw.min() < 0 or raw.max() >= bits_per_row):
                 raise ValueError(f"bit position out of range for {name!r} of shape {shape}")
-            index, lanes = positions_to_sparse(raw + np.repeat(row_ids * bits_per_row, counts))
+            raw += np.repeat(row_ids * bits_per_row, counts)
+            index, lanes = fold_positions(raw)
             bounds = np.searchsorted(index, np.arange(rows + 1, dtype=np.int64) * size)
             per_row = np.diff(bounds)
             elements = index - np.repeat(row_ids * size, per_row)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from repro.bits.float32 import BITS_PER_FLOAT, count_set_bits, positions_to_mask
+from repro.bits.float32 import BITS_PER_FLOAT, positions_to_mask
 from repro.faults.model import FaultModel
 
 __all__ = ["HeterogeneousBitFlipModel"]

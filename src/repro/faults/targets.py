@@ -9,7 +9,7 @@ layer-by-layer study of Fig. 3 injects into exactly one layer at a time).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
 from repro.nn.module import Module, Parameter

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.mcmc.chain import ChainSet
 from repro.mcmc.diagnostics import effective_sample_size, monte_carlo_standard_error, split_r_hat
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.moments.perturbation import weight_perturbation_moments
 from repro.nn.activations import ReLU
@@ -101,6 +100,8 @@ class MomentPrediction:
 
 def _relu_moments(mean: np.ndarray, variance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rectified-Gaussian first two moments, elementwise."""
+    from scipy import stats as sps
+
     sigma = np.sqrt(np.maximum(variance, 0.0))
     out_mean = np.maximum(mean, 0.0)
     out_var = np.zeros_like(variance)
@@ -343,6 +344,8 @@ class MomentPropagator:
         logit_mean: np.ndarray, logit_variance: np.ndarray, labels: np.ndarray
     ) -> float:
         """Mean P(argmax ≠ label) under the independent-Gaussian logit model."""
+        from scipy import stats as sps
+
         labels = np.asarray(labels, dtype=np.int64)
         n, k = logit_mean.shape
         if labels.shape != (n,):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bits.fields import EXPONENT_BITS, MANTISSA_BITS, SIGN_BIT, bit_field
+from repro.bits.fields import EXPONENT_BITS, MANTISSA_BITS, SIGN_BIT
 from repro.protect.scheme import ProtectedFaultModel, ProtectionScheme
 from repro.sensitivity.taylor import TaylorSensitivity
 

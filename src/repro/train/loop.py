@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from repro.nn.module import Module
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train.losses import CrossEntropyLoss

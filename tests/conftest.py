@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.data import ArrayDataset, DataLoader, two_moons
-from repro.nn import MLP, paper_mlp
+from repro.nn import paper_mlp
 from repro.nn.models import resnet18_cifar_small
 from repro.train import Adam, Trainer
 

@@ -1,6 +1,5 @@
 """Exhaustive bit sweep and estimator comparison statistics."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import ExhaustiveBitInjector, compare_estimators, wilson_interval

@@ -92,6 +92,74 @@ class TestBetaCentralInterval:
             assert 0.0 <= lo <= hi <= 1.0
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _ppf_interval(a, b, mass):
+    """The interval as ``scipy.stats.beta.ppf`` gives it, with the same repair."""
+    from scipy import stats as sps
+
+    lo_q, hi_q = central_tails(mass)
+    with np.errstate(all="ignore"):
+        lo, hi = sps.beta.ppf(lo_q, a, b), sps.beta.ppf(hi_q, a, b)
+    if np.ndim(lo) == 0:
+        return clamp_unit_interval(float(lo), float(hi))
+    lo = np.where(np.isfinite(lo), np.clip(lo, 0.0, 1.0), 0.0)
+    hi = np.where(np.isfinite(hi), np.clip(hi, 0.0, 1.0), 1.0)
+    swapped = lo > hi
+    lo[swapped], hi[swapped] = hi[swapped], lo[swapped]
+    return lo, hi
+
+
+MASSES = [0.5, 0.68, 0.8, 0.9, 0.95, 0.975, 0.99]
+
+
+def _assert_bitwise_ppf(a, b, mass):
+    lo, hi = beta_central_interval(a, b, mass)
+    want_lo, want_hi = _ppf_interval(a, b, mass)
+    assert np.array_equal(_bits(lo), _bits(want_lo))
+    assert np.array_equal(_bits(hi), _bits(want_hi))
+
+
+class TestBitIdenticalToScipyStats:
+    """``beta_central_interval`` is bitwise the ``scipy.stats.beta.ppf`` interval."""
+
+    @pytest.mark.parametrize("mass", MASSES)
+    def test_jeffreys_shapes_including_k_zero_and_k_n(self, mass):
+        n = np.array([1, 2, 3, 5, 10, 40, 100, 1000, 12345, 10**5, 10**6, 10**7], dtype=np.float64)
+        k = np.concatenate([np.zeros_like(n), n, np.floor(n / 2), np.minimum(n, 1), np.maximum(n - 1, 0)])
+        n = np.tile(n, 5)
+        _assert_bitwise_ppf(k + 0.5, n - k + 0.5, mass)
+
+    @pytest.mark.parametrize("mass", MASSES)
+    def test_random_shapes(self, mass):
+        rng = np.random.default_rng(int(mass * 1000))
+        n = rng.integers(1, 10**6, size=5000).astype(np.float64)
+        k = np.floor(rng.random(5000) * (n + 1))
+        _assert_bitwise_ppf(k + 0.5, n - k + 0.5, mass)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.5, 1e6 + 0.5), (1e6 + 0.5, 0.5), (3.0, 9.0)])
+    @pytest.mark.parametrize("mass", [0.5, 0.95, 0.99])
+    def test_scalar_shapes(self, a, b, mass):
+        got = beta_central_interval(a, b, mass)
+        assert all(type(end) is float for end in got)
+        assert _bits(got).tolist() == _bits(_ppf_interval(a, b, mass)).tolist()
+
+    @pytest.mark.parametrize("mass", MASSES)
+    def test_non_finite_repair_path(self, mass):
+        # invalid or infinite shapes make ppf non-finite; both sides repair
+        # the same raw endpoints to the same support bounds
+        from scipy import stats as sps
+
+        a = np.array([0.0, -1.0, np.nan, 0.5, np.inf, 1e-300, 1e300, 0.5])
+        b = np.array([1.0, 1.0, 1.0, np.inf, 1.0, 1.0, 0.5, 1e-320])
+        with np.errstate(all="ignore"):
+            assert not np.all(np.isfinite(sps.beta.ppf(central_tails(mass)[0], a, b)))
+        _assert_bitwise_ppf(a, b, mass)
+        assert beta_central_interval(0.0, 1.0, mass) == _ppf_interval(0.0, 1.0, mass) == (0.0, 1.0)
+
+
 class TestSharedConvention:
     def test_bootstrap_ci_uses_the_same_tails(self, ):
         from repro.analysis.stats import bootstrap_ci

@@ -1,6 +1,5 @@
 """IEEE-754 field classification."""
 
-import numpy as np
 import pytest
 
 from repro.bits import EXPONENT_BITS, MANTISSA_BITS, SIGN_BIT, bit_field, describe_flip, field_mask

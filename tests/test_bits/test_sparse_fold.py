@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bits.float32 import BITS_PER_FLOAT, positions_to_sparse
+from repro.bits.float32 import BITS_PER_FLOAT, fold_positions, positions_to_sparse
 
 
 def reference_fold(positions):
@@ -67,7 +67,29 @@ class TestPositionsToSparse:
         assert lane_masks.tolist() == [1 << 5, (1 << 1) | (1 << 31)]
 
     def test_input_not_modified(self):
-        positions = np.array([70, 3, 40, 3], dtype=np.int64)
-        positions_to_sparse(positions)
-        assert positions.tolist() == [70, 3, 40, 3]
+        values = [70, 3, 40, 3, 5000, 0]
+        for positions in (
+            np.array(values, dtype=np.int64),
+            np.array(values, dtype=np.int64)[::-1],
+            np.array(values, dtype=np.int32),
+            np.array(values, dtype=np.int64).reshape(2, 3),
+        ):
+            before = positions.copy()
+            positions_to_sparse(positions)
+            assert np.array_equal(positions, before)
+        listed = list(values)
+        positions_to_sparse(listed)
+        assert listed == values
+
+
+class TestFoldPositions:
+    @given(st.lists(st.integers(min_value=0, max_value=40 * BITS_PER_FLOAT - 1), max_size=120))
+    @settings(max_examples=60, deadline=None)
+    def test_same_fold_and_sorts_its_own_array(self, values):
+        positions = np.asarray(values, dtype=np.int64)
+        elements, lane_masks = fold_positions(positions)
+        expected_elements, expected_lanes = reference_fold(values)
+        assert np.array_equal(elements, expected_elements)
+        assert np.array_equal(lane_masks, expected_lanes)
+        assert positions.tolist() == sorted(values)
 

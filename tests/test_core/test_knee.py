@@ -58,6 +58,42 @@ class TestFit:
         assert fit.knee_p == pytest.approx(10.0**fit.knee_log10_p)
 
 
+class TestFTestMatchesScipyStats:
+    """The F-test p-value is bitwise ``scipy.stats.f.sf``, without importing it."""
+
+    def test_fdtrc_is_f_sf_for_the_fit_dfs(self):
+        from scipy import stats as sps
+        from scipy.special import fdtrc
+
+        rng = np.random.default_rng(0)
+        df_resid = np.repeat(np.arange(1.0, 61.0), 2000)
+        x = np.concatenate([np.zeros(100), rng.exponential(5.0, df_resid.size - 100)])
+        expected = sps.f.sf(x, 2, df_resid)
+        assert np.array_equal(fdtrc(2, df_resid, x).view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("points", [5, 6, 9, 17, 40])
+    @pytest.mark.parametrize("noise", [0.0, 0.002, 0.05])
+    def test_f_test_p_is_f_sf(self, monkeypatch, points, noise):
+        from scipy import stats as sps
+
+        import repro.core.knee as knee
+
+        calls = []
+        knee_fdtrc = knee.fdtrc
+
+        def recording_fdtrc(d1, d2, x):
+            calls.append((d1, d2, x))
+            return knee_fdtrc(d1, d2, x)
+
+        monkeypatch.setattr(knee, "fdtrc", recording_fdtrc)
+        p = np.logspace(-5, -1, points)
+        fit = fit_two_regimes(p, _piecewise(p, -3.0, 0.001, 0.2, 0.05, noise=noise, seed=points))
+        (d1, d2, x), = calls
+        assert (d1, d2) == (2, points - 4)
+        expected = float(sps.f.sf(x, d1, d2))
+        assert np.float64(fit.f_test_p).view(np.uint64) == np.float64(expected).view(np.uint64)
+
+
 class TestValidation:
     def test_too_few_points(self):
         with pytest.raises(ValueError):

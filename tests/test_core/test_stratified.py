@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import stats as sps
 
 from repro.core import BayesianFaultInjector, StratifiedErrorEstimator
 from repro.faults import FaultSurface, TargetSpec

@@ -1,12 +1,11 @@
 """Full-pipeline integration: train → checkpoint → inject → compare."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import RandomFaultInjector, compare_estimators
 from repro.core import BayesianFaultInjector
 from repro.data import ArrayDataset, DataLoader, gaussian_blobs
-from repro.faults import SingleBitFlipModel, TargetSpec
+from repro.faults import TargetSpec
 from repro.nn import MLP
 from repro.nn.models import resnet18_cifar_small
 from repro.train import Adam, Trainer, load_checkpoint, save_checkpoint

@@ -1,6 +1,5 @@
 """Protection allocation and measured scheme evaluation."""
 
-import numpy as np
 import pytest
 
 from repro.core import BayesianFaultInjector

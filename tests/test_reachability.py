@@ -41,6 +41,7 @@ ALLOWED_UNREACHED = {
     "repro.data.splits": "a train/test splitter no program calls",
     "repro.faults.burst": "an extension fault model no program runs",
     "repro.faults.heterogeneous": "an extension fault model no program runs",
+    "repro.faults.single": "the literature's single-bit, stuck-at and byte fault models; no program runs them",
 }
 
 

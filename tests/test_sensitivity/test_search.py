@@ -59,8 +59,6 @@ class TestRandomBitSearch:
     def test_budget_respected_when_unfindable(self, trained_mlp, moons_eval):
         # Restrict to low mantissa bits of the last bias: flips there are
         # numerically negligible, so the search must exhaust its budget.
-        from repro.faults import BernoulliBitFlipModel
-
         eval_x, eval_y = moons_eval
         injector = BayesianFaultInjector(
             trained_mlp, eval_x, eval_y,

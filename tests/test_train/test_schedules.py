@@ -1,7 +1,5 @@
 """Learning-rate schedules."""
 
-import math
-
 import numpy as np
 import pytest
 
