@@ -51,7 +51,7 @@ def test_mcmc_step_cost(benchmark, golden_mlp_moons, moons_eval_batch):
         initial=lambda r: FaultConfiguration.sample(injector.parameter_targets, fault_model, r),
     )
     rng = np.random.default_rng(6)
-    benchmark(lambda: sampler.run_chain(10, rng))
+    benchmark(lambda: sampler.run(chains=1, steps=10, rng=rng))
 
 
 def test_batched_campaign_throughput(benchmark, golden_mlp_moons, moons_eval_batch):

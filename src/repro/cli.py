@@ -526,18 +526,18 @@ def _cmd_train(args) -> int:
 
 
 def _campaign_spec_from_args(args):
+    # --fast/--no-fast reaches the campaign through the injector and the
+    # recipe (_campaign_setup), not the spec: results are bit-identical
+    # either way, so it must not change the spec's journal fingerprint.
     steps = max(4, args.samples // args.chains)
-    fast = getattr(args, "fast", None)
     if args.method == "forward":
         return ForwardSpec(p=args.p, samples=args.samples, chains=args.chains)
     if args.method == "mcmc":
-        return McmcSpec(p=args.p, chains=args.chains, steps=steps, fast=fast)
+        return McmcSpec(p=args.p, chains=args.chains, steps=steps)
     if args.method == "tempered":
-        return TemperedSpec(
-            p=args.p, beta=args.beta, chains=args.chains, steps=steps, fast=fast
-        )
+        return TemperedSpec(p=args.p, beta=args.beta, chains=args.chains, steps=steps)
     if args.method == "tempering":
-        return TemperingSpec(p=args.p, chains=args.chains, sweeps=steps, fast=fast)
+        return TemperingSpec(p=args.p, chains=args.chains, sweeps=steps)
     return AdaptiveSpec(p=args.p, chains=args.chains, max_steps=args.samples)
 
 

@@ -19,7 +19,8 @@ rows folded into the batch axis.
 Every fast path of :class:`~repro.core.injector.BayesianFaultInjector`
 goes through :meth:`BatchedNetworkEvaluator.run_segments`:
 
-* forward campaigns score sampled blocks in chunks (:meth:`evaluate_logits`);
+* forward campaigns score each sampled block in chunks
+  (:meth:`evaluate_logits`);
 * the single-configuration statistic is a one-row sweep (``k = 1``);
 * MCMC and tempered chains recompute from cached segment boundaries
   (:mod:`repro.core.delta`).
@@ -37,8 +38,11 @@ One row class skips it:
   of ``n`` parameters draws no flip with probability ``(1-p)^(32n)``, so
   at small ``p`` most single-layer samples of a small layer are golden.
 
-All of them are bit-identical to the standard path — enforced by the
-differential fast-path tests, on eval batches of one, two and more images.
+Each of them is a *scorer*: the samplers run one loop and are handed
+either the engine or the standard statistic (``apply_configuration`` +
+``model(x)``) to score a block or round with. The contract is that both
+score the same values bit for bit — enforced by the differential
+fast-path tests, on eval batches of one, two and more images.
 """
 
 from __future__ import annotations
@@ -143,17 +147,17 @@ class BatchedNetworkEvaluator:
     def evaluate_logits(self, configurations: ConfigurationBlock, guard=None) -> np.ndarray:
         """Logits per configuration row, shape ``(k, B, classes)``.
 
-        Bit-identical to running each configuration through
-        ``apply_configuration`` + ``model(x)`` sequentially (property-tested
-        at the uint level, which is NaN-safe). The caller owns hazard
-        accounting — score the stack with the campaign's
+        Row ``i`` is bit-identical to the logits the standard statistic
+        computes for configuration ``i`` (``apply_configuration`` +
+        ``model(x)``; property-tested at the uint level, which is
+        NaN-safe). The caller owns hazard accounting — score the stack
+        with the campaign's
         :meth:`~repro.core.hazard.NumericalHazardGuard.score_rows`, which
-        equals scoring each ``logits[i]`` as the sequential statistic
-        does. Passing that guard here additionally
-        counts the FP error events (overflow/invalid) the sweep raises;
-        without one they are silenced. Event *counts* are op-granular
-        diagnostics and differ from the sequential path's — the scored
-        errors do not.
+        equals scoring each ``logits[i]`` as the standard statistic does.
+        Passing that guard here additionally counts the FP error events
+        (overflow/invalid) the sweep raises; without one they are
+        silenced. Event *counts* are op-granular diagnostics and differ
+        from the standard statistic's — the scored errors do not.
 
         Golden rows: a row that flips no bit (zero in
         :attr:`~repro.faults.configuration.ConfigurationBlock.flips`)
@@ -197,9 +201,9 @@ class BatchedNetworkEvaluator:
         shared ``(B, ...)`` when ``diverged`` is False, or stacked
         ``(k, B, ...)`` with rows aligned to the block's rows otherwise. The same
         bit-identity argument as :meth:`evaluate_logits` applies segment by
-        segment, so per-row results equal sequential faulted forwards
-        whenever ``activation`` itself is bit-identical to the sequential
-        activation entering ``start``. When ``boundaries`` is a list, the
+        segment, so per-row results equal the standard statistic's faulted
+        forwards whenever ``activation`` itself is bit-identical to the
+        standard forward's activation entering ``start``. When ``boundaries`` is a list, the
         state entering each subsequent step (ending with the logits state)
         is appended in step order. Returns the final state; its ``data``
         holds the logits, still shared when no faulted layer was crossed.

@@ -22,10 +22,14 @@ activation entering segment ``j`` is valid for a candidate precisely when
 the candidate's masks equal the current state's on every target owned by
 segments ``< j`` — the prefix then executes identical ops on identical
 parameters — and the recomputed suffix is the engine's differentially
-tested machinery. Scored statistics, hazard row/evaluation accounting, and
-RNG streams are therefore identical to the standard path; only
-op-granular FP error event *counts* may differ (fewer ops run), as
-documented for :meth:`BatchedNetworkEvaluator.evaluate_logits`.
+tested machinery. A :class:`DeltaChainEvaluator` is one of the two round
+scorers the chain samplers take; the other, the standard path's
+:class:`~repro.mcmc.metropolis.StatisticRounds`, calls the plain statistic
+per candidate. Scored statistics and hazard row/evaluation accounting are
+identical between the two, and the samplers' loop and RNG streams do not
+depend on which scores; only op-granular FP error event *counts* may
+differ (fewer ops run), as documented for
+:meth:`BatchedNetworkEvaluator.evaluate_logits`.
 
 Observability: cached-boundary fetches are billed to the ``delta.reuse``
 profiler phase and recomputed suffixes to ``delta.recompute``;
@@ -154,9 +158,10 @@ class DeltaChainEvaluator:
         """Score one candidate per session; one grouped forward per distinct cut.
 
         Returns the campaign statistic (hazard-aware classification error)
-        per candidate, bit-identical to scoring each through the standard
-        sequential statistic. Each session is left with the candidate
-        *staged*: call :meth:`DeltaSession.commit` on acceptance.
+        per candidate, bit-identical to the standard path's round
+        (:class:`~repro.mcmc.metropolis.StatisticRounds`, one standard
+        statistic call per candidate). Each session is left with the
+        candidate *staged*: call :meth:`DeltaSession.commit` on acceptance.
 
         Candidates whose masks equal their session's committed state reuse
         the cached logits outright (``guard.score`` still runs, so hazard

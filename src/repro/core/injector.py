@@ -62,7 +62,7 @@ from repro.faults.targets import (
     resolve_parameter_targets,
 )
 from repro.mcmc.chain import Chain, ChainSet
-from repro.mcmc.forward import PROGRESS_EVERY, ForwardSampler
+from repro.mcmc.forward import ForwardSampler
 from repro.mcmc.metropolis import MetropolisHastingsSampler
 from repro.mcmc.mixing import CompletenessCriterion
 from repro.mcmc.proposals import BlockResample, MixtureProposal, SingleBitToggle
@@ -72,7 +72,7 @@ from repro.nn.module import Module
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train.metrics import classification_error
 from repro.utils.logging import get_logger
-from repro.utils.rng import RngFactory, spawn_generators
+from repro.utils.rng import RngFactory
 
 __all__ = ["BayesianFaultInjector"]
 
@@ -84,11 +84,6 @@ _FIELD_MASKS = tuple((field, field_mask(field)) for field in ("sign", "exponent"
 #: configurations evaluated per batched sweep on the fast forward path —
 #: bounds the (chunk, batch, channels, H, W) float32 intermediates
 _FAST_CHUNK = 8
-
-#: configurations a fast forward chain draws and folds at once — a multiple
-#: of ``_FAST_CHUNK``, so the chunks scored are the same as without blocks;
-#: bounds the per-target position temporaries of the fold at large p
-_FAST_BLOCK = 64
 
 
 def _record_configurations(metrics, rows: ConfigurationBlock) -> None:
@@ -131,11 +126,12 @@ class BayesianFaultInjector:
         Root seed; every campaign derives named substreams, so results are
         exactly reproducible and independent across campaigns.
     fast:
-        Whether parameter-surface campaigns run on the segment engine
-        (:class:`~repro.core.batched.BatchedNetworkEvaluator`: batched
-        forward campaigns, the single-configuration statistic from the
-        cached golden prefix, and delta-forward chains), which is
-        bit-identical to the standard ``model(x)`` path. ``None`` (default)
+        Whether parameter-surface campaigns are scored on the segment
+        engine (:class:`~repro.core.batched.BatchedNetworkEvaluator`:
+        chunked forward blocks, the single-configuration statistic from
+        the cached golden prefix, and delta-forward chain rounds) or by the
+        standard ``model(x)`` statistic. The samplers run the same loop
+        either way and the scores are bit-identical. ``None`` (default)
         uses the engine whenever the model supports it; ``False`` forces
         the standard path (a debugging escape hatch); ``True`` demands the
         engine and raises if it is unavailable.
@@ -232,7 +228,7 @@ class BayesianFaultInjector:
         return stack
 
     # ------------------------------------------------------------------ #
-    # fast-path machinery (bit-identical to the standard path)
+    # scorers: the segment engine or the standard statistic
     # ------------------------------------------------------------------ #
 
     def _parameter_only(self) -> bool:
@@ -242,12 +238,14 @@ class BayesianFaultInjector:
     def _engine(self, override: bool | None = None) -> BatchedNetworkEvaluator | None:
         """The segment engine for one campaign, or ``None`` for the standard path.
 
-        ``override`` (a spec's or statistic's ``fast``) wins over the
-        injector's ``fast`` when set. ``False`` selects the standard path,
-        ``None`` the engine when it is available, and ``True`` raises when
-        it is not. The engine is built once, on first use, and shared by
-        every later campaign; an injector built with ``fast=False`` never
-        builds it.
+        This picks a campaign's scorer only: the samplers' loops are the
+        same for both, and the engine scores what the standard statistic
+        scores, bit for bit. ``override`` (a spec's or statistic's
+        ``fast``) wins over the injector's ``fast`` when set. ``False``
+        selects the standard path, ``None`` the engine when it is
+        available, and ``True`` raises when it is not. The engine is built
+        once, on first use, and shared by every later campaign; an injector
+        built with ``fast=False`` never builds it.
         """
         fast = self.fast if override is None else override
         if fast is False:
@@ -283,7 +281,11 @@ class BayesianFaultInjector:
         injector's ``fast`` for this statistic: on the segment engine a
         configuration is scored as a one-row sweep from the cached golden
         prefix, leaving the live parameters untouched; on the standard path
-        it is applied to the model and the full forward runs.
+        it is applied to the model and the full forward runs. Both score
+        the same value bit for bit. The standard statistic is also what the
+        standard path's scorers call per row: a forward campaign's block
+        scorer (:meth:`_block_score`) and the chain samplers'
+        :class:`~repro.mcmc.metropolis.StatisticRounds`.
 
         Every evaluation runs under a :class:`NumericalHazardGuard`
         (``guard``, the active campaign's guard, or a private one): flipped
@@ -565,79 +567,51 @@ class BayesianFaultInjector:
     # spec executors (the actual procedures)
     # ------------------------------------------------------------------ #
 
+    def _block_score(self, fault_model: FaultModel, rng: np.random.Generator):
+        """Build ``ConfigurationBlock → classification errors`` for a forward campaign.
+
+        The one thing a forward campaign's two paths differ in. On the
+        segment engine a block is scored ``_FAST_CHUNK`` rows per sweep
+        (:meth:`~repro.core.batched.BatchedNetworkEvaluator.evaluate_logits`
+        plus :meth:`~repro.core.hazard.NumericalHazardGuard.score_rows`)
+        and its detailed metrics are counted once per block; on the
+        standard path each row goes through :meth:`make_statistic`'s
+        statistic, drawing transient faults from ``rng`` in row order.
+        The values are bit-identical either way.
+        """
+        engine = self._engine()
+        if engine is None:
+            statistic = self.make_statistic(fault_model, rng)
+            return lambda block: [statistic(row) for row in block]
+        guard = self._active_guard or NumericalHazardGuard()
+
+        def score(block: ConfigurationBlock) -> list[float]:
+            if self._active_metrics is not None:
+                _record_configurations(self._active_metrics, block)
+            values: list[float] = []
+            for start in range(0, len(block), _FAST_CHUNK):
+                with obs.span("forward.eval"):
+                    logits = engine.evaluate_logits(block[start : start + _FAST_CHUNK], guard=guard)
+                values.extend(guard.score_rows(logits, self.labels).tolist())
+            return values
+
+        return score
+
+    def _forward_sampler(self, fault_model: FaultModel, stream: str, p: float) -> ForwardSampler:
+        return ForwardSampler(
+            self.parameter_targets or self._pseudo_targets(),
+            fault_model,
+            self._block_score(fault_model, self._rng_factory.stream(f"{stream}:transient:p={p!r}")),
+        )
+
     def _execute_forward(self, spec: ForwardSpec) -> CampaignResult:
         p, stream = spec.p, spec.stream
-        model = self._fault_model(p, spec.fault_model)
-        engine = self._engine()
-        if engine is not None:
-            return self._execute_forward_fast(spec, model, engine)
-        rng = self._rng_factory.stream(f"{stream}:p={p!r}")
-        sampler = ForwardSampler(
-            self.parameter_targets or self._pseudo_targets(),
-            model,
-            self.make_statistic(model, self._rng_factory.stream(f"{stream}:transient:p={p!r}")),
+        sampler = self._forward_sampler(self._fault_model(p, spec.fault_model), stream, p)
+        steps = max(1, spec.samples // spec.chains)
+        chain_set = sampler.run(
+            chains=spec.chains, steps=steps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
         )
-        steps = max(1, spec.samples // spec.chains)
-        chain_set = sampler.run(chains=spec.chains, steps=steps, rng=rng)
         return self._package(p, chain_set, "forward", discard_fraction=0.0)
-
-    def _execute_forward_fast(
-        self, spec: ForwardSpec, fault_model: FaultModel, engine: BatchedNetworkEvaluator
-    ) -> CampaignResult:
-        """i.i.d. forward campaign on the segment engine.
-
-        Bit-identical to the standard :class:`ForwardSampler` executor: the
-        same stream splits into the same per-chain generators, each chain
-        draws the same configurations in the same order (the parameter-only
-        statistic consumes no randomness during evaluation), and the batched
-        logits are bit-identical to the sequential faulted forwards — so the
-        recorded chains, posterior, and digest all match exactly. Only the
-        work around the draws changes: a chain draws ``_FAST_BLOCK`` rows at
-        a time with :meth:`FaultConfiguration.sample_block` (the same RNG
-        calls in the same order, each target folded once per block), counts
-        detailed metrics and records flips from the block, and scores it
-        ``_FAST_CHUNK`` rows at a time through one segment-engine sweep each.
-        """
-        p, stream = spec.p, spec.stream
-        if spec.chains <= 0:
-            raise ValueError(f"chains must be positive, got {spec.chains}")
-        rng = self._rng_factory.stream(f"{stream}:p={p!r}")
-        generators = spawn_generators(rng, spec.chains)
-        steps = max(1, spec.samples // spec.chains)
-        guard = self._active_guard or NumericalHazardGuard()
-        chains = []
-        for chain_id, generator in enumerate(generators):
-            chain = Chain(chain_id)
-            with obs.span("chain.forward", chain_id=chain_id, steps=steps):
-                for block_start in range(0, steps, _FAST_BLOCK):
-                    block = FaultConfiguration.sample_block(
-                        self.parameter_targets,
-                        fault_model,
-                        generator,
-                        min(_FAST_BLOCK, steps - block_start),
-                    )
-                    if self._active_metrics is not None:
-                        _record_configurations(self._active_metrics, block)
-                    for start in range(0, len(block), _FAST_CHUNK):
-                        chunk = block[start : start + _FAST_CHUNK]
-                        with obs.span("forward.eval"):
-                            logits = engine.evaluate_logits(chunk, guard=guard)
-                        values = guard.score_rows(logits, self.labels)
-                        for value, flips in zip(values, chunk.flips.tolist()):
-                            chain.record(value, flips, accepted=True)
-                            done = len(chain)
-                            if obs.listening() and done % PROGRESS_EVERY == 0:
-                                window = chain.recent(PROGRESS_EVERY)
-                                obs.publish(
-                                    "chain.progress",
-                                    sampler="forward",
-                                    chain_id=chain_id,
-                                    step=done,
-                                    steps=steps,
-                                    window_mean=float(window.mean()),
-                                )
-            chains.append(chain)
-        return self._package(p, ChainSet(chains), "forward", discard_fraction=0.0)
 
     def _execute_mcmc(self, spec: McmcSpec) -> CampaignResult:
         if not self._wants_parameters:
@@ -736,13 +710,10 @@ class BayesianFaultInjector:
         criterion = spec.criterion or CompletenessCriterion()
         p, stream = spec.p, spec.stream
         model = self._fault_model(p, spec.fault_model)
-        statistic = self.make_statistic(model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"))
-        sampler = ForwardSampler(self.parameter_targets or self._pseudo_targets(), model, statistic)
+        sampler = self._forward_sampler(model, stream, p)
         generators = [
             self._rng_factory.stream(f"{stream}:p={p!r}:chain={i}") for i in range(spec.chains)
         ]
-        from repro.mcmc.chain import Chain
-
         chain_objs = [Chain(i) for i in range(spec.chains)]
         report = None
         while chain_objs[0].values.size < spec.max_steps:

@@ -17,7 +17,6 @@ from repro.data.loader import DataLoader
 from repro.data.synthetic import two_moons, gaussian_blobs
 from repro.data.images import SyntheticImageConfig, make_synthetic_images
 from repro.data.digits import make_digit_dataset, render_digit
-from repro.data.splits import train_test_split
 
 __all__ = [
     "Dataset",
@@ -29,5 +28,4 @@ __all__ = [
     "make_synthetic_images",
     "make_digit_dataset",
     "render_digit",
-    "train_test_split",
 ]

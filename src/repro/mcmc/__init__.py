@@ -15,8 +15,15 @@ Components:
   reweighting back to the prior.
 * Proposals — single-bit toggles (local moves), block resampling from the
   prior (global moves), and mixtures.
-* :class:`~repro.mcmc.metropolis.MetropolisHastingsSampler` and
+* :class:`~repro.mcmc.metropolis.MetropolisHastingsSampler`,
+  :class:`~repro.mcmc.tempering.ParallelTemperingSampler` and
   :class:`~repro.mcmc.forward.ForwardSampler` (i.i.d. ancestral draws).
+  Each keeps one sampling loop and is handed what scores it: a forward
+  sampler a ``score(block)`` callable, a chain sampler a round scorer
+  (the segment engine's delta rounds, or
+  :class:`~repro.mcmc.metropolis.StatisticRounds` over the standard
+  statistic). The engine and the standard path differ only there, and
+  they score the same values bit for bit.
 * :mod:`~repro.mcmc.diagnostics` — split-R̂ (Gelman–Rubin), effective
   sample size, Geweke z, autocorrelation.
 * :class:`~repro.mcmc.mixing.CompletenessCriterion` — converts diagnostics

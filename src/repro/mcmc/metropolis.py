@@ -4,10 +4,13 @@ State: a :class:`~repro.faults.FaultConfiguration`. Target: any object with
 ``log_density(configuration)`` (see :mod:`repro.mcmc.targets`). Proposal:
 any object with ``propose(state, rng) → (candidate, log_hastings)``.
 
-The statistic of the *current* state is cached so a rejected step costs no
-forward pass; for :class:`~repro.mcmc.targets.TemperedErrorTarget` the
-statistic is likewise memoised per configuration evaluation, because the
-target's density itself depends on it.
+One loop steps the chains; it differs between the segment engine and the
+standard path only in the round scorer it is handed (a delta engine, or
+:class:`StatisticRounds` over the plain statistic). The statistic of the
+*current* state is cached so a rejected step costs no forward pass; for
+:class:`~repro.mcmc.targets.TemperedErrorTarget` the statistic is likewise
+memoised per configuration evaluation, because the target's density itself
+depends on it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,48 @@ from repro.mcmc.chain import Chain, ChainSet
 from repro.mcmc.forward import PROGRESS_EVERY
 from repro.utils.rng import spawn_generators
 
-__all__ = ["MetropolisHastingsSampler"]
+__all__ = ["MetropolisHastingsSampler", "StatisticRounds", "round_groups"]
+
+
+class _Unstaged:
+    """The session of :class:`StatisticRounds`: nothing is cached, so nothing commits."""
+
+    __slots__ = ()
+
+    def commit(self) -> None:
+        pass
+
+
+class StatisticRounds:
+    """Score a round of chain proposals by calling ``statistic`` on each.
+
+    The samplers' standard path, with the round interface of
+    :class:`~repro.core.delta.DeltaChainEvaluator`, so the engine and the
+    standard path differ only in how a round is scored.
+    """
+
+    def __init__(self, statistic: Callable[[FaultConfiguration], float]) -> None:
+        self.statistic = statistic
+
+    def session(self) -> _Unstaged:
+        return _Unstaged()
+
+    def evaluate_round(self, sessions: list, candidates: list[FaultConfiguration]) -> list[float]:
+        return [self.statistic(candidate) for candidate in candidates]
+
+
+def round_groups(engine, statistic: Callable[[FaultConfiguration], float], generators: list):
+    """(round scorer, generator groups) for a chain sampler's run.
+
+    With an engine every chain shares each round. Without one, each chain
+    is its own group, run to the end before the next starts: a statistic
+    over parameter *and* transient surfaces draws the transient faults
+    from one stream shared by all chains, and must consume it chain by
+    chain.
+    """
+    if engine is not None:
+        return engine, [generators]
+    return StatisticRounds(statistic), [[generator] for generator in generators]
 
 
 class MetropolisHastingsSampler:
@@ -47,9 +91,11 @@ class MetropolisHastingsSampler:
         Optional :class:`~repro.core.delta.DeltaChainEvaluator`. When set,
         :meth:`run` steps every chain in lockstep and scores each round of
         proposals through one delta round (one grouped forward per
-        distinct cut among the proposals) instead of calling
-        ``statistic`` per candidate — bit-identical to the sequential path
-        (property-tested), order-of-magnitude faster on deep models.
+        distinct cut among the proposals); without one,
+        :class:`StatisticRounds` calls ``statistic`` per candidate. Both
+        scorers give bit-identical values (property-tested), so the chains
+        are the same; the engine is order-of-magnitude faster on deep
+        models.
     """
 
     def __init__(
@@ -65,36 +111,6 @@ class MetropolisHastingsSampler:
         self.statistic = statistic
         self.initial = initial
         self.engine = engine
-
-    def run_chain(self, steps: int, rng: np.random.Generator, chain_id: int = 0) -> Chain:
-        if steps <= 0:
-            raise ValueError(f"steps must be positive, got {steps}")
-        state = self.initial(rng)
-        state_stat = self.statistic(state)
-        state_logd = self._log_density(state, state_stat)
-
-        chain = Chain(chain_id)
-        with obs.span("chain.mcmc", chain_id=chain_id, steps=steps):
-            for step in range(steps):
-                candidate, log_hastings = self.proposal.propose(state, rng)
-                candidate_stat = self.statistic(candidate)
-                candidate_logd = self._log_density(candidate, candidate_stat)
-                log_alpha = candidate_logd - state_logd + log_hastings
-                accepted = math.log(rng.random()) < log_alpha if log_alpha < 0 else True
-                if accepted:
-                    state, state_stat, state_logd = candidate, candidate_stat, candidate_logd
-                chain.record(state_stat, state.total_flips(), accepted=accepted)
-                if obs.listening() and (step + 1) % PROGRESS_EVERY == 0:
-                    obs.publish(
-                        "chain.progress",
-                        sampler="mcmc",
-                        chain_id=chain_id,
-                        step=step + 1,
-                        steps=steps,
-                        window_mean=float(chain.recent(PROGRESS_EVERY).mean()),
-                        window_acceptance=chain.recent_acceptance(PROGRESS_EVERY),
-                    )
-        return chain
 
     def _log_density(self, configuration: FaultConfiguration, statistic_value: float) -> float:
         """Evaluate the target density, reusing the known statistic if tempered.
@@ -122,44 +138,44 @@ class MetropolisHastingsSampler:
     def run(self, chains: int, steps: int, rng) -> ChainSet:
         """Run ``chains`` independent chains from overdispersed starts.
 
-        With a delta engine attached the chains advance in lockstep (one
-        delta round per proposal step, one grouped forward per distinct
-        cut in it); results are bit-identical to the sequential path
-        either way.
+        Every chain draws from its own spawned generator; see
+        :func:`round_groups` for which chains share a round.
         """
         if chains <= 0:
             raise ValueError(f"chains must be positive, got {chains}")
-        if self.engine is not None:
-            return self._run_lockstep(chains, steps, rng)
-        generators = spawn_generators(rng, chains)
-        return ChainSet([self.run_chain(steps, g, chain_id=i) for i, g in enumerate(generators)])
-
-    def _run_lockstep(self, chains: int, steps: int, rng) -> ChainSet:
-        """All chains in lockstep; one delta round (a forward per distinct cut) per step.
-
-        Bit-identity with the sequential path holds because every chain
-        draws from its own spawned generator in the same per-chain order
-        (initial draw, then propose / conditional accept draw per step —
-        the parameter-only statistic consumes no randomness), the engine's
-        scored statistics are bit-identical to the standard statistic, and
-        the acceptance arithmetic is expression-for-expression the same.
-        """
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
-        engine = self.engine
-        generators = spawn_generators(rng, chains)
-        sessions = [engine.session() for _ in range(chains)]
+        scorer, groups = round_groups(self.engine, self.statistic, spawn_generators(rng, chains))
+        chain_objs: list[Chain] = []
+        for group in groups:
+            chain_objs += self._run_rounds(scorer, group, steps, len(chain_objs))
+        return ChainSet(chain_objs)
+
+    def _run_rounds(self, scorer, generators: list, steps: int, first_id: int) -> list[Chain]:
+        """The sampling loop: one chain per generator, one scored round per step.
+
+        ``scorer`` is a round scorer (:class:`StatisticRounds` or a
+        :class:`~repro.core.delta.DeltaChainEvaluator`): it scores one
+        candidate per session, and ``session.commit()`` on acceptance
+        makes the staged candidate that session's state. Each chain consumes its generator in
+        the same order whichever scorer runs and however many chains share
+        a round (initial draw, then per step a proposal and a conditional
+        accept draw), and the scorers' values are bit-identical, so the
+        chains are too.
+        """
+        chains = len(generators)
+        sessions = [scorer.session() for _ in range(chains)]
         states = [self.initial(g) for g in generators]
-        stats = engine.evaluate_round(sessions, states)
+        stats = scorer.evaluate_round(sessions, states)
         for session in sessions:
             session.commit()
         logds = [self._log_density(s, v) for s, v in zip(states, stats)]
-        chain_objs = [Chain(i) for i in range(chains)]
-        with obs.span("chain.mcmc", chains=chains, steps=steps, lockstep=True):
+        chain_objs = [Chain(first_id + i) for i in range(chains)]
+        with obs.span("chain.mcmc", chains=chains, steps=steps):
             for step in range(steps):
                 proposals = [self.proposal.propose(states[i], generators[i]) for i in range(chains)]
                 candidates = [candidate for candidate, _ in proposals]
-                cand_stats = engine.evaluate_round(sessions, candidates)
+                cand_stats = scorer.evaluate_round(sessions, candidates)
                 for i in range(chains):
                     candidate, log_hastings = proposals[i]
                     candidate_logd = self._log_density(candidate, cand_stats[i])
@@ -180,4 +196,4 @@ class MetropolisHastingsSampler:
                             window_mean=float(chain.recent(PROGRESS_EVERY).mean()),
                             window_acceptance=chain.recent_acceptance(PROGRESS_EVERY),
                         )
-        return ChainSet(chain_objs)
+        return chain_objs

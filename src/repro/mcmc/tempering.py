@@ -26,6 +26,7 @@ import numpy as np
 from repro.faults.configuration import FaultConfiguration
 from repro.faults.model import FaultModel
 from repro.mcmc.chain import Chain, ChainSet
+from repro.mcmc.metropolis import round_groups
 from repro.utils.rng import spawn_generators
 
 __all__ = ["TemperingResult", "ParallelTemperingSampler"]
@@ -77,9 +78,11 @@ class ParallelTemperingSampler:
         Optional :class:`~repro.core.delta.DeltaChainEvaluator`. When set,
         :meth:`run` advances all replicas in lockstep and scores each
         rung's proposals across replicas through one delta round (one
-        grouped forward per distinct cut) — bit-identical to the
-        sequential path. (Rungs *within* a replica stay sequential: each
-        rung's acceptance draw conditions the stream the next rung
+        grouped forward per distinct cut); without one,
+        :class:`~repro.mcmc.metropolis.StatisticRounds` calls ``statistic``
+        per candidate. Both scorers give bit-identical values, so the
+        chains are the same. (Rungs *within* a replica stay sequential:
+        each rung's acceptance draw conditions the stream the next rung
         proposes from.)
     """
 
@@ -108,136 +111,78 @@ class ParallelTemperingSampler:
         self.betas = betas
         self.engine = engine
 
-    # ------------------------------------------------------------------ #
-    # core steps
-    # ------------------------------------------------------------------ #
-
-    def _mh_step(
-        self,
-        state: FaultConfiguration,
-        stat: float,
-        log_prior: float,
-        beta: float,
-        rng: np.random.Generator,
-    ) -> tuple[FaultConfiguration, float, float, bool]:
-        candidate, log_hastings = self.proposal.propose(state, rng)
-        candidate_stat = self.statistic(candidate)
-        candidate_log_prior = candidate.log_prob(self.fault_model)
-        log_alpha = (
-            (candidate_log_prior + beta * candidate_stat)
-            - (log_prior + beta * stat)
-            + log_hastings
-        )
-        if log_alpha >= 0 or np.log(rng.random()) < log_alpha:
-            return candidate, candidate_stat, candidate_log_prior, True
-        return state, stat, log_prior, False
-
-    def run_chain(self, sweeps: int, rng: np.random.Generator, chain_id: int = 0) -> tuple[Chain, np.ndarray, int, int]:
-        """One replica system: ``sweeps`` × (MH step per rung + one swap try).
-
-        Returns (cold chain, per-rung statistic sums, swap attempts, swap accepts).
-        """
-        if sweeps <= 0:
-            raise ValueError(f"sweeps must be positive, got {sweeps}")
-        n_rungs = len(self.betas)
-        states = [FaultConfiguration.sample(self.targets, self.fault_model, rng) for _ in range(n_rungs)]
-        stats = [self.statistic(s) for s in states]
-        log_priors = [s.log_prob(self.fault_model) for s in states]
-
-        cold = Chain(chain_id)
-        rung_sums = np.zeros(n_rungs)
-        swap_attempts = 0
-        swap_accepts = 0
-        for _ in range(sweeps):
-            for rung, beta in enumerate(self.betas):
-                states[rung], stats[rung], log_priors[rung], _ = self._mh_step(
-                    states[rung], stats[rung], log_priors[rung], beta, rng
-                )
-            # One adjacent-pair swap attempt per sweep.
-            low = int(rng.integers(0, n_rungs - 1))
-            high = low + 1
-            log_alpha = (self.betas[low] - self.betas[high]) * (stats[high] - stats[low])
-            swap_attempts += 1
-            if log_alpha >= 0 or np.log(rng.random()) < log_alpha:
-                states[low], states[high] = states[high], states[low]
-                stats[low], stats[high] = stats[high], stats[low]
-                log_priors[low], log_priors[high] = log_priors[high], log_priors[low]
-                swap_accepts += 1
-            cold.record(stats[0], states[0].total_flips())
-            rung_sums += stats
-        return cold, rung_sums / sweeps, swap_attempts, swap_accepts
-
     def run(self, chains: int, sweeps: int, rng) -> TemperingResult:
         """``chains`` independent replica systems with split streams.
 
-        With a delta engine attached the replicas advance in lockstep (one
-        delta round per rung per sweep, batched across replicas and
-        grouped by cut); results are bit-identical to the sequential path
-        either way.
+        Every replica draws from its own spawned generator; see
+        :func:`~repro.mcmc.metropolis.round_groups` for which replicas
+        share a round.
         """
         if chains <= 0:
             raise ValueError(f"chains must be positive, got {chains}")
-        if self.engine is not None:
-            return self._run_lockstep(chains, sweeps, rng)
-        generators = spawn_generators(rng, chains)
-        cold_chains = []
-        rung_totals = np.zeros(len(self.betas))
-        attempts = 0
-        accepts = 0
-        for index, gen in enumerate(generators):
-            cold, rung_means, att, acc = self.run_chain(sweeps, gen, chain_id=index)
-            cold_chains.append(cold)
-            rung_totals += rung_means
-            attempts += att
-            accepts += acc
-        return TemperingResult(
-            cold_chains=ChainSet(cold_chains),
-            rung_means=tuple(float(v) for v in rung_totals / chains),
-            betas=self.betas,
-            swap_acceptance=accepts / attempts if attempts else float("nan"),
-        )
-
-    def _run_lockstep(self, chains: int, sweeps: int, rng) -> TemperingResult:
-        """All replica systems in lockstep; rung proposals batched across them.
-
-        Bit-identity with :meth:`run_chain` per replica holds because each
-        replica keeps its own spawned generator and consumes it in exactly
-        the sequential order (initial rung draws; then per sweep, per rung:
-        propose + conditional accept draw; then the swap draws), the
-        engine's scored statistics are bit-identical to ``statistic``, and
-        every acceptance/aggregation expression is unchanged. Rungs within
-        a replica cannot be batched — the rung's conditional accept draw
-        shifts the stream the next rung proposes from — but the same rung
-        across replicas can, and the initial states all score in one round.
-        """
         if sweeps <= 0:
             raise ValueError(f"sweeps must be positive, got {sweeps}")
-        engine = self.engine
-        generators = spawn_generators(rng, chains)
+        scorer, groups = round_groups(self.engine, self.statistic, spawn_generators(rng, chains))
+        colds: list[Chain] = []
+        rung_totals = np.zeros(len(self.betas))
+        accepts = 0
+        for group in groups:
+            group_colds, group_sums, group_accepts = self._run_rounds(scorer, group, sweeps, len(colds))
+            colds += group_colds
+            for sums in group_sums:
+                rung_totals += sums / sweeps
+            accepts += group_accepts
+        return TemperingResult(
+            cold_chains=ChainSet(colds),
+            rung_means=tuple(float(v) for v in rung_totals / chains),
+            betas=self.betas,
+            # every sweep of every replica tries one swap
+            swap_acceptance=accepts / (chains * sweeps),
+        )
+
+    def _run_rounds(
+        self, scorer, generators: list, sweeps: int, first_id: int
+    ) -> tuple[list[Chain], list[np.ndarray], int]:
+        """The sampling loop: one replica system per generator, in lockstep.
+
+        Per sweep, each rung takes one MH step in every replica, the rung's
+        proposals scored as one round by ``scorer`` (see
+        :meth:`MetropolisHastingsSampler._run_rounds`), then every replica
+        tries one adjacent-pair swap. Each replica consumes its generator
+        in the same order whichever scorer runs and however many replicas
+        share a round (initial rung draws; then per sweep, per rung:
+        propose + conditional accept draw; then the swap draws). Rungs
+        within a replica cannot share a round — the rung's conditional
+        accept draw shifts the stream the next rung proposes from — but the
+        same rung across replicas can, and the initial states all score in
+        one round.
+
+        Returns (cold chains, per-replica rung statistic sums, swap accepts).
+        """
+        chains = len(generators)
         n_rungs = len(self.betas)
         states = [
             [FaultConfiguration.sample(self.targets, self.fault_model, g) for _ in range(n_rungs)]
             for g in generators
         ]
-        sessions = [[engine.session() for _ in range(n_rungs)] for _ in range(chains)]
+        sessions = [[scorer.session() for _ in range(n_rungs)] for _ in range(chains)]
         flat_sessions = [session for replica in sessions for session in replica]
         flat_states = [state for replica in states for state in replica]
-        flat_stats = engine.evaluate_round(flat_sessions, flat_states)
+        flat_stats = scorer.evaluate_round(flat_sessions, flat_states)
         for session in flat_sessions:
             session.commit()
         stats = [flat_stats[i * n_rungs : (i + 1) * n_rungs] for i in range(chains)]
         log_priors = [[s.log_prob(self.fault_model) for s in replica] for replica in states]
 
-        colds = [Chain(i) for i in range(chains)]
+        colds = [Chain(first_id + i) for i in range(chains)]
         rung_sums = [np.zeros(n_rungs) for _ in range(chains)]
-        attempts = 0
         accepts = 0
         for _ in range(sweeps):
             for rung, beta in enumerate(self.betas):
                 proposals = [
                     self.proposal.propose(states[i][rung], generators[i]) for i in range(chains)
                 ]
-                cand_stats = engine.evaluate_round(
+                cand_stats = scorer.evaluate_round(
                     [sessions[i][rung] for i in range(chains)],
                     [candidate for candidate, _ in proposals],
                 )
@@ -259,7 +204,6 @@ class ParallelTemperingSampler:
                 low = int(generators[i].integers(0, n_rungs - 1))
                 high = low + 1
                 log_alpha = (self.betas[low] - self.betas[high]) * (stats[i][high] - stats[i][low])
-                attempts += 1
                 if log_alpha >= 0 or np.log(generators[i].random()) < log_alpha:
                     states[i][low], states[i][high] = states[i][high], states[i][low]
                     stats[i][low], stats[i][high] = stats[i][high], stats[i][low]
@@ -273,12 +217,4 @@ class ParallelTemperingSampler:
                     accepts += 1
                 colds[i].record(stats[i][0], states[i][0].total_flips())
                 rung_sums[i] += stats[i]
-        rung_totals = np.zeros(n_rungs)
-        for i in range(chains):
-            rung_totals += rung_sums[i] / sweeps
-        return TemperingResult(
-            cold_chains=ChainSet(colds),
-            rung_means=tuple(float(v) for v in rung_totals / chains),
-            betas=self.betas,
-            swap_acceptance=accepts / attempts if attempts else float("nan"),
-        )
+        return colds, rung_sums, accepts

@@ -265,6 +265,34 @@ class TestDurableCampaigns:
 
         assert os.path.exists(journal)
 
+    @pytest.mark.parametrize("method", ["mcmc", "tempered", "tempering"])
+    def test_no_fast_journal_resumes_without_the_flag(
+        self, golden_checkpoint, tmp_path, capsys, method
+    ):
+        """--fast/--no-fast picks an engine, not a campaign: a journal written
+        under --no-fast resumes under the default, every task a hit."""
+        journal = str(tmp_path / "campaign.jsonl")
+        argv = [
+            "campaign", golden_checkpoint, "--workbench", "mlp-moons", "--method", method,
+            "--beta", "8", "--p", "1e-2", "--samples", "40", "--chains", "2",
+            "--journal", journal,
+        ]
+        assert main(argv + ["--no-fast"]) == 0
+        first = capsys.readouterr().out
+        assert main(argv + ["--resume"]) == 0
+        second = capsys.readouterr().out
+        assert "1 campaign(s) restored" in second
+
+        def estimates(text):
+            # everything but the journal and executor status lines; a restored
+            # result keeps its recorded duration, so the table matches too
+            return [
+                line for line in text.splitlines()
+                if not line.startswith(("journal:", "executor:"))
+            ]
+
+        assert "error" in first and estimates(second) == estimates(first)
+
     def test_layerwise_journal_resume(self, golden_checkpoint, tmp_path, capsys):
         journal = str(tmp_path / "layers.jsonl")
         argv = [

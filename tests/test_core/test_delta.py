@@ -1,10 +1,13 @@
-"""Delta-forward chain evaluation must be bit-identical to the standard path.
+"""Delta rounds must score exactly what the standard path's statistic rounds score.
 
-The :class:`~repro.core.delta.DeltaChainEvaluator` reuses cached segment
-boundary activations between sequentially related proposals; every Chain
-record, importance weight, and mixing diagnostic it produces must match
-the standard per-proposal forward at the bit level, across architectures,
-seeds, and hazard-quarantined regimes. Op-granular FP error event counts
+The samplers run one loop and differ only in their round scorer: the
+:class:`~repro.core.delta.DeltaChainEvaluator`, which reuses cached segment
+boundary activations between sequentially related proposals, or
+:class:`~repro.mcmc.metropolis.StatisticRounds`, one standard forward per
+proposal. Every Chain record, importance weight, and mixing diagnostic a
+campaign scored by delta rounds produces must match the statistic rounds'
+at the bit level, across architectures, seeds, and hazard-quarantined
+regimes. Op-granular FP error event counts
 (``fp_overflow`` etc.) are the one allowed difference — fewer ops run.
 """
 
@@ -17,6 +20,7 @@ from repro.core.delta import DeltaChainEvaluator
 from repro.faults import BernoulliBitFlipModel, FaultConfiguration, TargetSpec
 from repro.faults.injection import apply_configuration
 from repro.mcmc import ParallelTemperingSampler, SingleBitToggle
+from repro.mcmc.metropolis import StatisticRounds
 from repro.mcmc.mixing import CompletenessCriterion
 from repro.nn import LeNet, MLP
 from repro.nn.module import Module
@@ -56,7 +60,7 @@ def setup(request, lenet_setup, trained_mlp, moons_eval, tiny_resnet, tiny_image
 
 
 def make_pair(setup, seed):
-    """(standard, delta) injector pair over identical golden state."""
+    """(statistic rounds, delta rounds) injector pair over identical golden state."""
     model, x, y, spec = setup
     slow = BayesianFaultInjector(model, x, y, spec=spec, seed=seed, fast=False)
     fast = BayesianFaultInjector(model, x, y, spec=spec, seed=seed)
@@ -137,6 +141,7 @@ class TestHazardQuarantine:
 
 class TestTemperingSamplerParity:
     def test_rung_means_and_swap_acceptance(self, trained_mlp, moons_eval):
+        """Delta rounds vs statistic rounds (``engine=None``) in one sampler."""
         eval_x, eval_y = moons_eval
         injector = BayesianFaultInjector(
             trained_mlp, eval_x, eval_y, spec=TargetSpec.weights_and_biases(), seed=4
@@ -262,23 +267,33 @@ class TestFastKnob:
         with pytest.raises(ValueError, match="fast=True"):
             injector.mcmc_campaign(1e-3, chains=1, steps=4, fast=True)
 
-    def test_cli_tempered_arm(self):
-        from repro.cli import build_parser
+    def test_cli_tempered_arm(self, tmp_path):
+        from repro.cli import build_parser, build_workbench_model
+        from repro.train.checkpoint import save_checkpoint
 
+        checkpoint = str(tmp_path / "golden.npz")
+        save_checkpoint(build_workbench_model("mlp-moons"), checkpoint)
         args = build_parser().parse_args(
-            ["campaign", "golden.npz", "--workbench", "mlp-moons",
+            ["campaign", checkpoint, "--workbench", "mlp-moons",
              "--method", "tempered", "--beta", "12", "--no-fast"]
         )
         assert args.method == "tempered"
         assert args.beta == 12.0
         assert args.fast is False
 
-        from repro.cli import _campaign_spec_from_args
+        from repro.cli import _campaign_setup, _campaign_spec_from_args
 
         spec = _campaign_spec_from_args(args)
         assert spec.kind == "tempered"
         assert spec.beta == 12.0
-        assert spec.fast is False
+        # --no-fast reaches the campaign through the injector and the
+        # worker recipe; the spec inherits it, so its journal key does not
+        # depend on the flag
+        assert spec.fast is None
+        injector, recipe = _campaign_setup(args)
+        assert injector.fast is False
+        assert recipe.fast is False
+        assert injector._engine(spec.fast) is None
 
 
 class TestStatisticMemoisation:
@@ -383,7 +398,8 @@ class TestStatisticMemoisation:
 class TestSplitRound:
     """A round whose candidates have different cuts runs one ``run_segments``
     per distinct start, each from its own cut, and scores and stages exactly
-    what scoring each candidate alone, or the standard path, gives."""
+    what scoring each candidate alone, or the standard path's statistic
+    round, gives."""
 
     SHALLOW, DEEP = "stages.0.0.conv1", "stages.3.1.conv2"
 
@@ -465,10 +481,11 @@ class TestSplitRound:
             assert engine.evaluate_round([twin], [candidate]) == [values[index]]
             assert self.bits(twin._pending[1]) == staged[index]
 
-        # The standard path: model(x) for the values, and each chain step's
-        # output under the applied faults for the staged boundaries.
+        # The standard path: its statistic rounds (model(x) per candidate)
+        # for the values, and each chain step's output under the applied
+        # faults for the staged boundaries.
         statistic = slow.make_statistic(BernoulliBitFlipModel(2e-3), np.random.default_rng(0))
-        assert [statistic(candidate) for candidate in candidates] == values
+        assert StatisticRounds(statistic).evaluate_round(twins, candidates) == values
         for index, candidate in enumerate(candidates):
             with apply_configuration(slow.model, candidate), no_grad(), np.errstate(all="ignore"):
                 activation = slow._x

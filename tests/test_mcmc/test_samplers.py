@@ -31,6 +31,10 @@ def _flip_stat(cfg):
     return float(cfg.total_flips())
 
 
+def _flip_score(block):
+    return [_flip_stat(row) for row in block]
+
+
 def _total_bits(targets):
     return sum(param.size for _, param in targets) * 32
 
@@ -38,31 +42,54 @@ def _total_bits(targets):
 class TestForwardSampler:
     def test_mean_flips_matches_binomial(self, targets):
         p = 0.02
-        sampler = ForwardSampler(targets, BernoulliBitFlipModel(p), _flip_stat)
+        sampler = ForwardSampler(targets, BernoulliBitFlipModel(p), _flip_score)
         chains = sampler.run(chains=2, steps=250, rng=0)
         expected = _total_bits(targets) * p
         std = np.sqrt(_total_bits(targets) * p * (1 - p) / 500)
         assert abs(chains.mean() - expected) < 5 * std
+        # the recorded flips are the block's per-row counts, which the
+        # scored statistic recomputes from each row
+        assert np.array_equal(chains.chains[0].values, chains.chains[0].flips)
 
     def test_chains_are_independent_streams(self, targets):
-        sampler = ForwardSampler(targets, BernoulliBitFlipModel(0.05), _flip_stat)
+        sampler = ForwardSampler(targets, BernoulliBitFlipModel(0.05), _flip_score)
         chains = sampler.run(chains=2, steps=20, rng=1)
         assert not np.array_equal(chains.chains[0].values, chains.chains[1].values)
 
     def test_reproducible_for_equal_seed(self, targets):
-        sampler = ForwardSampler(targets, BernoulliBitFlipModel(0.05), _flip_stat)
+        sampler = ForwardSampler(targets, BernoulliBitFlipModel(0.05), _flip_score)
         a = sampler.run(chains=2, steps=30, rng=42).matrix()
         b = sampler.run(chains=2, steps=30, rng=42).matrix()
         assert np.array_equal(a, b)
 
+    def test_blocks_draw_as_one_sample_per_step(self, targets):
+        """A chain longer than a block scores each block once, and its rows
+        are the configurations one ``sample`` call per step would draw."""
+        from repro.mcmc.forward import BLOCK_ROWS
+
+        model = BernoulliBitFlipModel(0.01)
+        blocks = []
+
+        def score(block):
+            blocks.append(len(block))
+            return _flip_score(block)
+
+        steps = 2 * BLOCK_ROWS + 3
+        chain = ForwardSampler(targets, model, score).run_chain(steps, np.random.default_rng(9))
+        assert blocks == [BLOCK_ROWS, BLOCK_ROWS, 3]
+        rng = np.random.default_rng(9)
+        want = [FaultConfiguration.sample(targets, model, rng).total_flips() for _ in range(steps)]
+        assert chain.flips.tolist() == want
+        assert chain.values.tolist() == [float(flips) for flips in want]
+
     def test_validation(self, targets):
-        sampler = ForwardSampler(targets, BernoulliBitFlipModel(0.1), _flip_stat)
+        sampler = ForwardSampler(targets, BernoulliBitFlipModel(0.1), _flip_score)
         with pytest.raises(ValueError):
             sampler.run(chains=0, steps=5, rng=0)
         with pytest.raises(ValueError):
             sampler.run_chain(0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            ForwardSampler([], BernoulliBitFlipModel(0.1), _flip_stat)
+            ForwardSampler([], BernoulliBitFlipModel(0.1), _flip_score)
 
 
 class TestProposals:
@@ -124,7 +151,7 @@ class TestMetropolisHastings:
             _flip_stat,
             initial=lambda r: FaultConfiguration.sample(targets, model, r),
         )
-        chain = sampler.run_chain(100, np.random.default_rng(3))
+        (chain,) = sampler.run(chains=1, steps=100, rng=3).chains
         assert chain.acceptance_rate == 1.0
 
     def test_single_bit_toggle_acceptance_reflects_prior(self, targets):
@@ -139,7 +166,7 @@ class TestMetropolisHastings:
             _flip_stat,
             initial=lambda r: FaultConfiguration.empty(targets),
         )
-        chain = sampler.run_chain(300, np.random.default_rng(4))
+        (chain,) = sampler.run(chains=1, steps=300, rng=4).chains
         assert chain.acceptance_rate < 0.1
 
     def test_reproducibility(self, targets):

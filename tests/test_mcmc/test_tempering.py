@@ -48,7 +48,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sampler.run(chains=0, sweeps=10, rng=0)
         with pytest.raises(ValueError):
-            sampler.run_chain(0, np.random.default_rng(0))
+            sampler.run(chains=1, sweeps=0, rng=0)
 
 
 class TestSampling:

@@ -38,7 +38,6 @@ ALLOWED_UNREACHED = {
     "repro.bayes.graph": "the explicit fault DBN's graph formalism; campaigns score the factorised prior",
     "repro.core.bayesian_network": "the explicit fault DBN; campaigns score the factorised prior",
     "repro.data.digits": "the seven-segment digit set that the CNN-moments test trains on",
-    "repro.data.splits": "a train/test splitter no program calls",
     "repro.faults.burst": "an extension fault model no program runs",
     "repro.faults.heterogeneous": "an extension fault model no program runs",
     "repro.faults.single": "the literature's single-bit, stuck-at and byte fault models; no program runs them",
