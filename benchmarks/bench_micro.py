@@ -10,7 +10,7 @@ import numpy as np
 from repro.bits import apply_bit_mask, sample_bernoulli_mask
 from repro.core import BatchedNetworkEvaluator, BayesianFaultInjector
 from repro.faults import BernoulliBitFlipModel, ConfigurationBlock, FaultConfiguration, TargetSpec
-from repro.mcmc import MetropolisHastingsSampler, PriorTarget, SingleBitToggle
+from repro.mcmc import MetropolisHastingsSampler, SingleBitToggle
 from repro.tensor import Tensor, conv2d, no_grad
 
 
@@ -45,10 +45,10 @@ def test_mcmc_step_cost(benchmark, golden_mlp_moons, moons_eval_batch):
     )
     fault_model = BernoulliBitFlipModel(1e-3)
     sampler = MetropolisHastingsSampler(
-        PriorTarget(fault_model),
-        SingleBitToggle(injector.parameter_targets),
+        injector.parameter_targets,
+        fault_model,
         injector.make_statistic(fault_model, np.random.default_rng(5)),
-        initial=lambda r: FaultConfiguration.sample(injector.parameter_targets, fault_model, r),
+        SingleBitToggle(injector.parameter_targets),
     )
     rng = np.random.default_rng(6)
     benchmark(lambda: sampler.run(chains=1, steps=10, rng=rng))

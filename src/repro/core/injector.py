@@ -67,7 +67,6 @@ from repro.mcmc.metropolis import MetropolisHastingsSampler
 from repro.mcmc.mixing import CompletenessCriterion
 from repro.mcmc.proposals import BlockResample, MixtureProposal, SingleBitToggle
 from repro.obs.metrics import MetricsRegistry
-from repro.mcmc.targets import PriorTarget, TemperedErrorTarget
 from repro.nn.module import Module
 from repro.tensor.tensor import Tensor, no_grad
 from repro.train.metrics import classification_error
@@ -613,58 +612,47 @@ class BayesianFaultInjector:
         )
         return self._package(p, chain_set, "forward", discard_fraction=0.0)
 
-    def _execute_mcmc(self, spec: McmcSpec) -> CampaignResult:
+    def _chain_parts(self, spec, kind: str):
+        """(fault model, statistic, delta engine or ``None``, chain RNG) for a chain campaign.
+
+        The statistic scores the standard path; the
+        :class:`~repro.core.delta.DeltaChainEvaluator` over the segment
+        engine, when the spec's ``fast`` selects it, scores the fast one.
+        """
         if not self._wants_parameters:
-            raise ValueError("MCMC campaigns require parameter fault surfaces (the mask state)")
+            raise ValueError(f"{kind} campaigns require parameter fault surfaces (the mask state)")
         p, stream = spec.p, spec.stream
         model = self._fault_model(p, spec.fault_model)
         statistic = self.make_statistic(
             model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"), fast=spec.fast
         )
         segments = self._engine(spec.fast)
+        engine = None if segments is None else DeltaChainEvaluator(segments)
+        return model, statistic, engine, self._rng_factory.stream(f"{stream}:p={p!r}")
+
+    def _execute_mcmc(self, spec: McmcSpec) -> CampaignResult:
+        model, statistic, engine, rng = self._chain_parts(spec, "MCMC")
         proposal = self._make_proposal(model, spec.toggle_weight, spec.resample_weight)
         sampler = MetropolisHastingsSampler(
-            PriorTarget(model),
-            proposal,
-            statistic,
-            initial=lambda r: FaultConfiguration.sample(self.parameter_targets, model, r),
-            engine=None if segments is None else DeltaChainEvaluator(segments),
+            self.parameter_targets, model, statistic, proposal, engine=engine
         )
-        chain_set = sampler.run(
-            chains=spec.chains, steps=spec.steps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
-        )
+        chain_set = sampler.run(chains=spec.chains, steps=spec.steps, rng=rng)
         criterion = spec.criterion or CompletenessCriterion()
         report = criterion.assess(chain_set)
         return self._package(
-            p, chain_set, "mcmc", discard_fraction=spec.discard_fraction, completeness=report
+            spec.p, chain_set, "mcmc", discard_fraction=spec.discard_fraction, completeness=report
         )
 
     def _execute_tempered(self, spec: TemperedSpec) -> tuple[CampaignResult, float]:
-        if not self._wants_parameters:
-            raise ValueError("tempered campaigns require parameter fault surfaces")
-        p, beta, stream = spec.p, spec.beta, spec.stream
-        model = self._fault_model(p, spec.fault_model)
-        statistic = self.make_statistic(
-            model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"), fast=spec.fast
-        )
-        segments = self._engine(spec.fast)
-        # Memoisation requires a deterministic statistic; transient surfaces
-        # redraw faults per evaluation (the sampler's identity shortcut makes
-        # the memo moot here anyway, but keep the contract explicit).
-        target = TemperedErrorTarget(model, statistic, beta, memoize=self._parameter_only())
+        beta = spec.beta
+        model, statistic, engine, rng = self._chain_parts(spec, "tempered")
         proposal = self._make_proposal(model, toggle_weight=0.7, resample_weight=0.3)
         sampler = MetropolisHastingsSampler(
-            target,
-            proposal,
-            statistic,
-            initial=lambda r: FaultConfiguration.sample(self.parameter_targets, model, r),
-            engine=None if segments is None else DeltaChainEvaluator(segments),
+            self.parameter_targets, model, statistic, proposal, beta=beta, engine=engine
         )
-        chain_set = sampler.run(
-            chains=spec.chains, steps=spec.steps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
-        )
+        chain_set = sampler.run(chains=spec.chains, steps=spec.steps, rng=rng)
         result = self._package(
-            p, chain_set, f"tempered(beta={beta:g})", discard_fraction=spec.discard_fraction
+            spec.p, chain_set, f"tempered(beta={beta:g})", discard_fraction=spec.discard_fraction
         )
         values = np.concatenate([c.tail(spec.discard_fraction) for c in chain_set.chains])
         log_w = -beta * values
@@ -674,33 +662,24 @@ class BayesianFaultInjector:
         return result, weighted
 
     def _execute_tempering(self, spec: TemperingSpec) -> CampaignResult:
-        if not self._wants_parameters:
-            raise ValueError("tempering campaigns require parameter fault surfaces")
         from repro.mcmc.tempering import ParallelTemperingSampler
 
-        p, stream = spec.p, spec.stream
-        model = self._fault_model(p, spec.fault_model)
-        statistic = self.make_statistic(
-            model, self._rng_factory.stream(f"{stream}:transient:p={p!r}"), fast=spec.fast
-        )
-        segments = self._engine(spec.fast)
+        model, statistic, engine, rng = self._chain_parts(spec, "tempering")
         sampler = ParallelTemperingSampler(
             self.parameter_targets,
             model,
             statistic,
             proposal=self._make_proposal(model, toggle_weight=0.8, resample_weight=0.2),
             betas=spec.betas,
-            engine=None if segments is None else DeltaChainEvaluator(segments),
+            engine=engine,
         )
-        result = sampler.run(
-            chains=spec.chains, sweeps=spec.sweeps, rng=self._rng_factory.stream(f"{stream}:p={p!r}")
-        )
+        result = sampler.run(chains=spec.chains, sweeps=spec.sweeps, rng=rng)
         _LOGGER.info(
             "tempering campaign p=%g: swap acceptance %.2f, rung means %s",
-            p, result.swap_acceptance, [f"{m:.3f}" for m in result.rung_means],
+            spec.p, result.swap_acceptance, [f"{m:.3f}" for m in result.rung_means],
         )
         return self._package(
-            p,
+            spec.p,
             result.cold_chains,
             f"tempering(rungs={len(spec.betas)})",
             discard_fraction=spec.discard_fraction,

@@ -25,7 +25,6 @@ configurations that already exist (MCMC states, one statistic row).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Iterator, Mapping, Sequence
 
@@ -265,25 +264,6 @@ class FaultConfiguration:
         dense_a = a.to_dense() if isinstance(a, SparseMask) else a
         dense_b = b.to_dense() if isinstance(b, SparseMask) else b
         return np.array_equal(dense_a, dense_b)
-
-    def fingerprint(self) -> str:
-        """Content hash of the masks (storage- and access-order-independent).
-
-        Two configurations that compare equal (:meth:`__eq__`) share a
-        fingerprint whether their masks are stored sparse or dense; unlike
-        ``hash(self)`` (identity), the fingerprint follows the *value*, so
-        mutating a mask changes it. Cost is O(K) in flipped bits plus one
-        hash pass — this keys per-configuration statistic memoisation
-        (:class:`~repro.mcmc.targets.TemperedErrorTarget`).
-        """
-        digest = hashlib.blake2b(digest_size=16)
-        for name in sorted(self._masks):
-            sparse = self.sparse(name)
-            digest.update(name.encode("utf-8"))
-            digest.update(np.int64(sparse.elements.size).tobytes())
-            digest.update(np.ascontiguousarray(sparse.elements).tobytes())
-            digest.update(np.ascontiguousarray(sparse.lane_masks).tobytes())
-        return digest.hexdigest()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FaultConfiguration):

@@ -7,12 +7,6 @@ campaign is complete (advantage #1 over traditional FI).
 
 Components:
 
-* :class:`~repro.mcmc.targets.PriorTarget` — the fault model's prior over
-  :class:`~repro.faults.FaultConfiguration` (the push-forward of which is
-  the fault-induced output distribution);
-  :class:`~repro.mcmc.targets.TemperedErrorTarget` — a failure-biased
-  target ∝ prior·exp(β·error) for rare-event exploration, with importance
-  reweighting back to the prior.
 * Proposals — single-bit toggles (local moves), block resampling from the
   prior (global moves), and mixtures.
 * :class:`~repro.mcmc.metropolis.MetropolisHastingsSampler`,
@@ -24,6 +18,13 @@ Components:
   :class:`~repro.mcmc.metropolis.StatisticRounds` over the standard
   statistic). The engine and the standard path differ only there, and
   they score the same values bit for bit.
+* The chain samplers' target — the fault prior tempered by the
+  statistic, ∝ prior·exp(β·error). β = 0 is the prior itself (whose
+  push-forward is the fault-induced output distribution); β > 0 biases
+  the walk toward error-causing configurations for rare-event
+  exploration. Both chain samplers take the one MH step
+  :func:`~repro.mcmc.metropolis.metropolis_step`, which accepts on
+  log prior + β·score, each score from the round that scored its state.
 * :mod:`~repro.mcmc.diagnostics` — split-R̂ (Gelman–Rubin), effective
   sample size, Geweke z, autocorrelation.
 * :class:`~repro.mcmc.mixing.CompletenessCriterion` — converts diagnostics
@@ -31,7 +32,6 @@ Components:
 """
 
 from repro.mcmc.chain import Chain, ChainSet
-from repro.mcmc.targets import PriorTarget, TemperedErrorTarget
 from repro.mcmc.proposals import SingleBitToggle, BlockResample, MixtureProposal
 from repro.mcmc.forward import ForwardSampler
 from repro.mcmc.metropolis import MetropolisHastingsSampler
@@ -48,8 +48,6 @@ from repro.mcmc.mixing import CompletenessCriterion, CompletenessReport
 __all__ = [
     "Chain",
     "ChainSet",
-    "PriorTarget",
-    "TemperedErrorTarget",
     "SingleBitToggle",
     "BlockResample",
     "MixtureProposal",

@@ -1,16 +1,20 @@
 """Metropolis–Hastings over fault-configuration space.
 
-State: a :class:`~repro.faults.FaultConfiguration`. Target: any object with
-``log_density(configuration)`` (see :mod:`repro.mcmc.targets`). Proposal:
-any object with ``propose(state, rng) → (candidate, log_hastings)``.
+State: a :class:`~repro.faults.FaultConfiguration`. Target: the fault
+model's prior tempered by the statistic, ∝ prior(e)·exp(β·statistic(e));
+β = 0 is the prior itself, and β > 0 biases the walk toward
+error-causing configurations (the rare-event regime), reweighted back to
+the prior by the campaign. Proposal: any object with
+``propose(state, rng) → (candidate, log_hastings)``.
 
-One loop steps the chains; it differs between the segment engine and the
-standard path only in the round scorer it is handed (a delta engine, or
-:class:`StatisticRounds` over the plain statistic). The statistic of the
-*current* state is cached so a rejected step costs no forward pass; for
-:class:`~repro.mcmc.targets.TemperedErrorTarget` the statistic is likewise
-memoised per configuration evaluation, because the target's density itself
-depends on it.
+:func:`metropolis_step` is the one MH step, shared by this sampler and
+:class:`~repro.mcmc.tempering.ParallelTemperingSampler`: it proposes one
+candidate per chain, scores the round, and accepts on
+``log prior + β·score``. Every state's score is already in hand from the
+round that scored it, so a rejected step costs no forward pass and the
+density costs none at all. The loop differs between the segment engine
+and the standard path only in the round scorer it is handed (a delta
+engine, or :class:`StatisticRounds` over the plain statistic).
 """
 
 from __future__ import annotations
@@ -22,11 +26,18 @@ import numpy as np
 
 import repro.obs as obs
 from repro.faults.configuration import FaultConfiguration
+from repro.faults.model import FaultModel
 from repro.mcmc.chain import Chain, ChainSet
 from repro.mcmc.forward import PROGRESS_EVERY
 from repro.utils.rng import spawn_generators
 
-__all__ = ["MetropolisHastingsSampler", "StatisticRounds", "round_groups"]
+__all__ = [
+    "MetropolisHastingsSampler",
+    "StatisticRounds",
+    "metropolis_accept",
+    "metropolis_step",
+    "round_groups",
+]
 
 
 class _Unstaged:
@@ -70,23 +81,70 @@ def round_groups(engine, statistic: Callable[[FaultConfiguration], float], gener
     return StatisticRounds(statistic), [[generator] for generator in generators]
 
 
+def metropolis_accept(log_alpha: float, rng: np.random.Generator) -> bool:
+    """The Metropolis test: accept outright when ``log_alpha >= 0``, else
+    draw one uniform from ``rng`` and accept when its log is below it."""
+    return log_alpha >= 0 or math.log(rng.random()) < log_alpha
+
+
+def metropolis_step(
+    scorer,
+    proposal,
+    fault_model: FaultModel,
+    beta: float,
+    sessions: list,
+    states: list[FaultConfiguration],
+    scores: list[float],
+    log_priors: list[float],
+    generators: list,
+) -> list[bool]:
+    """One MH step of every chain in a round; returns the accept flags.
+
+    Chain ``i`` is ``sessions[i]``, ``states[i]``, its score
+    ``scores[i]``, its log prior ``log_priors[i]`` and its generator. Each
+    chain proposes one candidate, ``scorer.evaluate_round`` scores them
+    all, and chain ``i`` accepts on
+    ``log α = (lp' + β·s') − (lp + β·s) + log_hastings`` (see
+    :func:`metropolis_accept`). An accepted chain takes the candidate, its
+    score and log prior in place, and commits its session. Each chain
+    draws from its own generator in the same order (proposal, then the
+    accept draw when ``log α < 0``) however many chains share the round.
+    """
+    proposals = [proposal.propose(state, rng) for state, rng in zip(states, generators)]
+    candidate_scores = scorer.evaluate_round(sessions, [candidate for candidate, _ in proposals])
+    accepted = []
+    for i, (candidate, log_hastings) in enumerate(proposals):
+        candidate_score = candidate_scores[i]
+        candidate_log_prior = candidate.log_prob(fault_model)
+        log_alpha = (
+            (candidate_log_prior + beta * candidate_score)
+            - (log_priors[i] + beta * scores[i])
+            + log_hastings
+        )
+        accept = metropolis_accept(log_alpha, generators[i])
+        if accept:
+            states[i], scores[i], log_priors[i] = candidate, candidate_score, candidate_log_prior
+            sessions[i].commit()
+        accepted.append(accept)
+    return accepted
+
+
 class MetropolisHastingsSampler:
-    """Generic MH kernel with per-chain acceptance bookkeeping.
+    """Multi-chain MH over fault configurations, with per-chain acceptance.
 
     Parameters
     ----------
-    target:
-        Density over configurations (``log_density`` + ``importance_log_weight``).
+    targets / fault_model:
+        The mask space and its prior; each chain starts from a prior draw
+        (an overdispersed start, so R̂ is meaningful).
+    statistic:
+        ``FaultConfiguration → float`` recorded per step (classification
+        error for BDLFI), and the score the target is tempered by.
     proposal:
         Proposal kernel.
-    statistic:
-        Scalar summary recorded per step. When the target is tempered on
-        the same statistic, pass the identical callable — evaluations are
-        shared within a step.
-    initial:
-        Callable ``rng → FaultConfiguration`` drawing the chain's start
-        state (typically the fault prior, giving an overdispersed start for
-        R̂ to be meaningful).
+    beta:
+        Inverse temperature of the target ∝ prior·exp(β·statistic);
+        0 samples the prior itself. Must be non-negative.
     engine:
         Optional :class:`~repro.core.delta.DeltaChainEvaluator`. When set,
         :meth:`run` steps every chain in lockstep and scores each round of
@@ -100,40 +158,21 @@ class MetropolisHastingsSampler:
 
     def __init__(
         self,
-        target,
-        proposal,
+        targets: list,
+        fault_model: FaultModel,
         statistic: Callable[[FaultConfiguration], float],
-        initial: Callable[[np.random.Generator], FaultConfiguration],
+        proposal,
+        beta: float = 0.0,
         engine=None,
     ) -> None:
-        self.target = target
-        self.proposal = proposal
+        if beta < 0:
+            raise ValueError(f"beta must be non-negative, got {beta}")
+        self.targets = list(targets)
+        self.fault_model = fault_model
         self.statistic = statistic
-        self.initial = initial
+        self.proposal = proposal
+        self.beta = float(beta)
         self.engine = engine
-
-    def _log_density(self, configuration: FaultConfiguration, statistic_value: float) -> float:
-        """Evaluate the target density, reusing the known statistic if tempered.
-
-        A target tempered on the sampler's *own* statistic gets the density
-        computed directly from ``statistic_value`` — zero extra forwards. A
-        tempered target built over a *different* callable used to be routed
-        through the same shortcut, silently substituting the sampler's
-        statistic for the target's; now the target is primed with the known
-        value (see :meth:`TemperedErrorTarget.prime` — the two callables
-        must compute the same quantity, which the shortcut always assumed)
-        and then asked for its own density, so one proposal still never
-        costs a second forward pass.
-        """
-        beta = getattr(self.target, "beta", None)
-        if beta is not None:
-            if getattr(self.target, "statistic", None) is self.statistic:
-                prior_logp = configuration.log_prob(self.target.fault_model)
-                return prior_logp + beta * statistic_value
-            prime = getattr(self.target, "prime", None)
-            if prime is not None:
-                prime(configuration, statistic_value)
-        return self.target.log_density(configuration)
 
     def run(self, chains: int, steps: int, rng) -> ChainSet:
         """Run ``chains`` independent chains from overdispersed starts.
@@ -152,39 +191,33 @@ class MetropolisHastingsSampler:
         return ChainSet(chain_objs)
 
     def _run_rounds(self, scorer, generators: list, steps: int, first_id: int) -> list[Chain]:
-        """The sampling loop: one chain per generator, one scored round per step.
+        """The sampling loop: one chain per generator, one :func:`metropolis_step` per step.
 
         ``scorer`` is a round scorer (:class:`StatisticRounds` or a
         :class:`~repro.core.delta.DeltaChainEvaluator`): it scores one
         candidate per session, and ``session.commit()`` on acceptance
-        makes the staged candidate that session's state. Each chain consumes its generator in
-        the same order whichever scorer runs and however many chains share
-        a round (initial draw, then per step a proposal and a conditional
-        accept draw), and the scorers' values are bit-identical, so the
-        chains are too.
+        makes the staged candidate that session's state. Each chain
+        consumes its generator in the same order whichever scorer runs and
+        however many chains share a round (initial draw, then per step a
+        proposal and a conditional accept draw), and the scorers' values
+        are bit-identical, so the chains are too.
         """
         chains = len(generators)
         sessions = [scorer.session() for _ in range(chains)]
-        states = [self.initial(g) for g in generators]
-        stats = scorer.evaluate_round(sessions, states)
+        states = [FaultConfiguration.sample(self.targets, self.fault_model, g) for g in generators]
+        scores = scorer.evaluate_round(sessions, states)
         for session in sessions:
             session.commit()
-        logds = [self._log_density(s, v) for s, v in zip(states, stats)]
+        log_priors = [state.log_prob(self.fault_model) for state in states]
         chain_objs = [Chain(first_id + i) for i in range(chains)]
         with obs.span("chain.mcmc", chains=chains, steps=steps):
             for step in range(steps):
-                proposals = [self.proposal.propose(states[i], generators[i]) for i in range(chains)]
-                candidates = [candidate for candidate, _ in proposals]
-                cand_stats = scorer.evaluate_round(sessions, candidates)
-                for i in range(chains):
-                    candidate, log_hastings = proposals[i]
-                    candidate_logd = self._log_density(candidate, cand_stats[i])
-                    log_alpha = candidate_logd - logds[i] + log_hastings
-                    accepted = math.log(generators[i].random()) < log_alpha if log_alpha < 0 else True
-                    if accepted:
-                        states[i], stats[i], logds[i] = candidate, cand_stats[i], candidate_logd
-                        sessions[i].commit()
-                    chain_objs[i].record(stats[i], states[i].total_flips(), accepted=accepted)
+                accepted = metropolis_step(
+                    scorer, self.proposal, self.fault_model, self.beta,
+                    sessions, states, scores, log_priors, generators,
+                )
+                for chain, state, score, accept in zip(chain_objs, states, scores, accepted):
+                    chain.record(score, state.total_flips(), accepted=accept)
                 if obs.listening() and (step + 1) % PROGRESS_EVERY == 0:
                     for chain in chain_objs:
                         obs.publish(

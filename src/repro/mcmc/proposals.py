@@ -57,9 +57,9 @@ class BlockResample:
     """Resample one uniformly chosen target's mask from the fault model.
 
     Because the fault model's bits are independent, this is a conditional-
-    prior (Gibbs) move for :class:`~repro.mcmc.targets.PriorTarget`: the
-    Hastings correction exactly cancels the prior ratio, so acceptance is 1.
-    For tempered targets it behaves as an independence proposal on the block.
+    prior (Gibbs) move for the prior target (β = 0): the Hastings correction
+    exactly cancels the prior ratio, so acceptance is 1. For tempered
+    targets (β > 0) it behaves as an independence proposal on the block.
     """
 
     def __init__(self, targets: list[tuple[str, Parameter]], fault_model: FaultModel) -> None:

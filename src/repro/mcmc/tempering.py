@@ -1,6 +1,7 @@
 """Parallel tempering over fault-configuration space.
 
-The failure-biased tempered target of :mod:`repro.mcmc.targets` explores
+The failure-biased tempered target ∝ prior·exp(β·error) of
+:class:`~repro.mcmc.metropolis.MetropolisHastingsSampler` explores
 error-causing configurations but pays an importance-weighting variance
 cost. Parallel tempering gets the best of both: a ladder of chains at
 inverse temperatures β₀ = 0 < β₁ < … < β_K runs side by side, adjacent
@@ -10,10 +11,13 @@ rungs' ability to cross between fault-space modes. Its trace is therefore
 an unbiased prior-expectation estimator with improved mixing; no
 reweighting needed.
 
-Swap rule: for rungs i, j with states x_i, x_j and shared prior,
+Each rung steps through :func:`~repro.mcmc.metropolis.metropolis_step`,
+the MH step plain and tempered chains take. Swap rule: for rungs i, j
+with states x_i, x_j and shared prior,
 ``log α = (β_i − β_j) · (stat(x_j) − stat(x_i))`` — the standard replica
-exchange acceptance, costing zero forward passes because statistics are
-cached per state.
+exchange acceptance, tested by the same
+:func:`~repro.mcmc.metropolis.metropolis_accept` and costing zero forward
+passes because statistics are cached per state.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 from repro.faults.configuration import FaultConfiguration
 from repro.faults.model import FaultModel
 from repro.mcmc.chain import Chain, ChainSet
-from repro.mcmc.metropolis import round_groups
+from repro.mcmc.metropolis import metropolis_accept, metropolis_step, round_groups
 from repro.utils.rng import spawn_generators
 
 __all__ = ["TemperingResult", "ParallelTemperingSampler"]
@@ -38,25 +42,10 @@ class TemperingResult:
 
     #: cold-rung (β=0) chains — samples from the fault prior
     cold_chains: ChainSet
-    #: per-rung mean statistic (after burn-in), index-aligned with betas
+    #: per-rung mean statistic over every sweep, index-aligned with betas
     rung_means: tuple[float, ...]
     betas: tuple[float, ...]
     swap_acceptance: float
-
-    def to_dict(self) -> dict:
-        """JSON-clean summary: the ``nan`` swap-acceptance sentinel (no swap
-        attempts) serialises as ``null`` rather than invalid-JSON ``NaN``."""
-        from repro.utils.persist import sanitize_nonfinite
-
-        return sanitize_nonfinite(
-            {
-                "rung_means": list(self.rung_means),
-                "betas": list(self.betas),
-                "swap_acceptance": self.swap_acceptance,
-                "chains": len(self.cold_chains),
-                "steps": self.cold_chains.steps,
-            }
-        )
 
 
 class ParallelTemperingSampler:
@@ -142,79 +131,61 @@ class ParallelTemperingSampler:
 
     def _run_rounds(
         self, scorer, generators: list, sweeps: int, first_id: int
-    ) -> tuple[list[Chain], list[np.ndarray], int]:
+    ) -> tuple[list[Chain], np.ndarray, int]:
         """The sampling loop: one replica system per generator, in lockstep.
 
-        Per sweep, each rung takes one MH step in every replica, the rung's
-        proposals scored as one round by ``scorer`` (see
-        :meth:`MetropolisHastingsSampler._run_rounds`), then every replica
-        tries one adjacent-pair swap. Each replica consumes its generator
-        in the same order whichever scorer runs and however many replicas
-        share a round (initial rung draws; then per sweep, per rung:
-        propose + conditional accept draw; then the swap draws). Rungs
-        within a replica cannot share a round — the rung's conditional
-        accept draw shifts the stream the next rung proposes from — but the
-        same rung across replicas can, and the initial states all score in
-        one round.
+        Per sweep, each rung takes one :func:`~repro.mcmc.metropolis.metropolis_step`
+        across every replica, the rung's proposals scored as one round by
+        ``scorer``, then every replica tries one adjacent-pair swap. Each
+        replica consumes its generator in the same order whichever scorer
+        runs and however many replicas share a round (initial rung draws;
+        then per sweep, per rung: propose + conditional accept draw; then
+        the swap draws). Rungs within a replica cannot share a round — the
+        rung's conditional accept draw shifts the stream the next rung
+        proposes from — but the same rung across replicas can, and the
+        initial states all score in one round. State is held per rung,
+        each a list over replicas. The cold chains record the cold rung's
+        own MH accept flag; swaps count only towards the returned total.
 
         Returns (cold chains, per-replica rung statistic sums, swap accepts).
         """
         chains = len(generators)
         n_rungs = len(self.betas)
-        states = [
-            [FaultConfiguration.sample(self.targets, self.fault_model, g) for _ in range(n_rungs)]
+        initial = [
+            FaultConfiguration.sample(self.targets, self.fault_model, g)
             for g in generators
+            for _ in range(n_rungs)
         ]
-        sessions = [[scorer.session() for _ in range(n_rungs)] for _ in range(chains)]
-        flat_sessions = [session for replica in sessions for session in replica]
-        flat_states = [state for replica in states for state in replica]
-        flat_stats = scorer.evaluate_round(flat_sessions, flat_states)
+        flat_sessions = [scorer.session() for _ in initial]
+        flat_scores = scorer.evaluate_round(flat_sessions, initial)
         for session in flat_sessions:
             session.commit()
-        stats = [flat_stats[i * n_rungs : (i + 1) * n_rungs] for i in range(chains)]
-        log_priors = [[s.log_prob(self.fault_model) for s in replica] for replica in states]
+        # replica-major flat lists → one list over replicas per rung
+        states = [initial[rung::n_rungs] for rung in range(n_rungs)]
+        sessions = [flat_sessions[rung::n_rungs] for rung in range(n_rungs)]
+        scores = [flat_scores[rung::n_rungs] for rung in range(n_rungs)]
+        log_priors = [[state.log_prob(self.fault_model) for state in rung] for rung in states]
 
         colds = [Chain(first_id + i) for i in range(chains)]
-        rung_sums = [np.zeros(n_rungs) for _ in range(chains)]
+        rung_sums = np.zeros((chains, n_rungs))
         accepts = 0
         for _ in range(sweeps):
+            accepted = []
             for rung, beta in enumerate(self.betas):
-                proposals = [
-                    self.proposal.propose(states[i][rung], generators[i]) for i in range(chains)
-                ]
-                cand_stats = scorer.evaluate_round(
-                    [sessions[i][rung] for i in range(chains)],
-                    [candidate for candidate, _ in proposals],
-                )
-                for i in range(chains):
-                    candidate, log_hastings = proposals[i]
-                    candidate_stat = cand_stats[i]
-                    candidate_log_prior = candidate.log_prob(self.fault_model)
-                    log_alpha = (
-                        (candidate_log_prior + beta * candidate_stat)
-                        - (log_priors[i][rung] + beta * stats[i][rung])
-                        + log_hastings
-                    )
-                    if log_alpha >= 0 or np.log(generators[i].random()) < log_alpha:
-                        states[i][rung] = candidate
-                        stats[i][rung] = candidate_stat
-                        log_priors[i][rung] = candidate_log_prior
-                        sessions[i][rung].commit()
+                accepted.append(metropolis_step(
+                    scorer, self.proposal, self.fault_model, beta,
+                    sessions[rung], states[rung], scores[rung], log_priors[rung], generators,
+                ))
             for i in range(chains):
                 low = int(generators[i].integers(0, n_rungs - 1))
                 high = low + 1
-                log_alpha = (self.betas[low] - self.betas[high]) * (stats[i][high] - stats[i][low])
-                if log_alpha >= 0 or np.log(generators[i].random()) < log_alpha:
-                    states[i][low], states[i][high] = states[i][high], states[i][low]
-                    stats[i][low], stats[i][high] = stats[i][high], stats[i][low]
-                    log_priors[i][low], log_priors[i][high] = (
-                        log_priors[i][high],
-                        log_priors[i][low],
-                    )
+                log_alpha = (self.betas[low] - self.betas[high]) * (scores[high][i] - scores[low][i])
+                if metropolis_accept(log_alpha, generators[i]):
                     # Sessions carry the cached activations of their state —
                     # they swap with it.
-                    sessions[i][low], sessions[i][high] = sessions[i][high], sessions[i][low]
+                    for column in (states, scores, log_priors, sessions):
+                        column[low][i], column[high][i] = column[high][i], column[low][i]
                     accepts += 1
-                colds[i].record(stats[i][0], states[i][0].total_flips())
-                rung_sums[i] += stats[i]
+                colds[i].record(scores[0][i], states[0][i].total_flips(), accepted=accepted[0][i])
+            rung_sums += np.transpose(scores)
         return colds, rung_sums, accepts

@@ -297,54 +297,11 @@ class TestFastKnob:
 
 
 class TestStatisticMemoisation:
-    """Satellite: a tempered target over a *different* callable must not
-    re-run the forward pass the sampler already paid for."""
-
-    def test_fingerprint_distinguishes_masks(self, trained_mlp, moons_eval, rng):
-        eval_x, eval_y = moons_eval
-        injector = BayesianFaultInjector(trained_mlp, eval_x, eval_y, seed=3)
-        model = BernoulliBitFlipModel(0.01)
-        a = FaultConfiguration.sample(injector.parameter_targets, model, rng)
-        b = FaultConfiguration.sample(injector.parameter_targets, model, rng)
-        assert a.fingerprint() == a.fingerprint()
-        assert a.fingerprint() != b.fingerprint()
-        empty = FaultConfiguration.empty(injector.parameter_targets)
-        assert empty.fingerprint() == FaultConfiguration.empty(
-            injector.parameter_targets
-        ).fingerprint()
-
-    def test_distinct_callable_costs_one_evaluation(self, trained_mlp, moons_eval, rng):
-        from repro.mcmc.metropolis import MetropolisHastingsSampler
-        from repro.mcmc.targets import TemperedErrorTarget
-
-        eval_x, eval_y = moons_eval
-        injector = BayesianFaultInjector(trained_mlp, eval_x, eval_y, seed=3, fast=False)
-        fault_model = BernoulliBitFlipModel(2e-3)
-        statistic = injector.make_statistic(fault_model, rng)
-        calls = {"n": 0}
-
-        def counted(configuration):
-            calls["n"] += 1
-            return statistic(configuration)
-
-        target = TemperedErrorTarget(fault_model, counted, beta=8.0)
-        sampler = MetropolisHastingsSampler(
-            target,
-            SingleBitToggle(injector.parameter_targets),
-            statistic,  # deliberately NOT the target's callable
-            initial=lambda r: FaultConfiguration.sample(
-                injector.parameter_targets, fault_model, r
-            ),
-        )
-        steps = 12
-        sampler.run(chains=1, steps=steps, rng=np.random.default_rng(0))
-        # The sampler primes the target with its own evaluations; the
-        # target's callable never runs (memo hits on every density query).
-        assert calls["n"] == 0
+    """A tempered chain's density reuses the score of the round that scored
+    each state: one forward per proposal, never a second for the density."""
 
     def test_same_callable_shortcut_still_engaged(self, trained_mlp, moons_eval, rng):
         from repro.mcmc.metropolis import MetropolisHastingsSampler
-        from repro.mcmc.targets import TemperedErrorTarget
 
         eval_x, eval_y = moons_eval
         injector = BayesianFaultInjector(trained_mlp, eval_x, eval_y, seed=3, fast=False)
@@ -356,43 +313,16 @@ class TestStatisticMemoisation:
             calls["n"] += 1
             return statistic(configuration)
 
-        target = TemperedErrorTarget(fault_model, counted, beta=8.0)
         sampler = MetropolisHastingsSampler(
-            target,
+            injector.parameter_targets,
+            fault_model,
+            counted,
             SingleBitToggle(injector.parameter_targets),
-            counted,  # identical callable: identity shortcut, no memo needed
-            initial=lambda r: FaultConfiguration.sample(
-                injector.parameter_targets, fault_model, r
-            ),
+            beta=8.0,
         )
         steps = 12
         sampler.run(chains=1, steps=steps, rng=np.random.default_rng(0))
         assert calls["n"] == steps + 1  # one per proposal plus the initial state
-
-    def test_memo_bounded(self):
-        from repro.mcmc.targets import TemperedErrorTarget
-
-        target = TemperedErrorTarget(BernoulliBitFlipModel(0.1), lambda c: 0.0, beta=1.0)
-        for index in range(TemperedErrorTarget._MEMO_LIMIT + 64):
-            target._store(f"key{index}", float(index))
-        assert len(target._memo) == TemperedErrorTarget._MEMO_LIMIT
-
-    def test_memoize_off_calls_through(self):
-        from repro.mcmc.targets import TemperedErrorTarget
-
-        calls = {"n": 0}
-
-        def stat(configuration):
-            calls["n"] += 1
-            return 0.25
-
-        target = TemperedErrorTarget(BernoulliBitFlipModel(0.1), stat, beta=1.0, memoize=False)
-        targets = []
-        configuration = FaultConfiguration.empty(targets)
-        target.prime(configuration, 0.25)  # no-op
-        target.log_density(configuration)
-        target.log_density(configuration)
-        assert calls["n"] == 2
 
 
 class TestSplitRound:

@@ -12,7 +12,6 @@ request, so a reference and a campaign on one injector draw alike.)
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core import BayesianFaultInjector
@@ -70,16 +69,17 @@ def mcmc_reference(injector, chains, steps):
 
 
 def tempering_reference(injector, chains, sweeps, betas):
+    """(cold-rung values, cold-rung MH accept flags, swap accepts)."""
     statistic, generators, model = streams(injector, "tempering", chains)
     proposal = injector._make_proposal(model, toggle_weight=0.8, resample_weight=0.2)
-    out, swaps = [], 0
+    out, accepts, swaps = [], [], 0
     for rng in generators:
         states = [
             FaultConfiguration.sample(injector.parameter_targets, model, rng) for _ in betas
         ]
         stats = [statistic(state) for state in states]
         priors = [state.log_prob(model) for state in states]
-        cold = []
+        cold, cold_accepts = [], []
         for _ in range(sweeps):
             for rung, beta in enumerate(betas):
                 candidate, log_hastings = proposal.propose(states[rung], rng)
@@ -89,17 +89,21 @@ def tempering_reference(injector, chains, sweeps, betas):
                     - (priors[rung] + beta * stats[rung])
                     + log_hastings
                 )
-                if log_alpha >= 0 or np.log(rng.random()) < log_alpha:
+                accepted = log_alpha >= 0 or math.log(rng.random()) < log_alpha
+                if accepted:
                     states[rung], stats[rung], priors[rung] = candidate, candidate_stat, candidate_prior
+                if rung == 0:
+                    cold_accepts.append(accepted)
             low = int(rng.integers(0, len(betas) - 1))
             log_alpha = (betas[low] - betas[low + 1]) * (stats[low + 1] - stats[low])
-            if log_alpha >= 0 or np.log(rng.random()) < log_alpha:
+            if log_alpha >= 0 or math.log(rng.random()) < log_alpha:
                 for column in (states, stats, priors):
                     column[low], column[low + 1] = column[low + 1], column[low]
                 swaps += 1
             cold.append(stats[0])
         out.append(cold)
-    return out, swaps
+        accepts.append(cold_accepts)
+    return out, accepts, swaps
 
 
 def test_mixed_forward_campaign_matches_sequential_reference(injector):
@@ -117,7 +121,10 @@ def test_mixed_mcmc_campaign_matches_sequential_reference(injector):
 
 def test_mixed_tempering_campaign_matches_sequential_reference(injector):
     betas = (0.0, 10.0, 40.0)
-    want, swaps = tempering_reference(injector, chains=2, sweeps=15, betas=betas)
+    want, accepts, swaps = tempering_reference(injector, chains=2, sweeps=15, betas=betas)
     result = injector.parallel_tempering_campaign(P, chains=2, sweeps=15, betas=betas)
     assert result.chains.matrix().tolist() == want
     assert swaps > 0  # the reference exercised the swap branch
+    # the cold chains record the cold rung's own MH decisions, not swaps
+    assert [chain.accepts.tolist() for chain in result.chains.chains] == accepts
+    assert not all(all(flags) for flags in accepts)

@@ -1,5 +1,7 @@
 """Cross-cutting edge cases not covered by per-module suites."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from repro.faults import (
     HeterogeneousBitFlipModel,
     TargetSpec,
 )
-from repro.mcmc import PriorTarget, TemperedErrorTarget
+from repro.mcmc import MetropolisHastingsSampler, SingleBitToggle
+from repro.mcmc.metropolis import StatisticRounds, metropolis_step
 
 
 @pytest.fixture()
@@ -22,25 +25,70 @@ def injector(trained_mlp, moons_eval):
     )
 
 
+class _CountingRng:
+    """A generator stub: a fixed uniform, and how many were drawn."""
+
+    def __init__(self, u: float) -> None:
+        self.u, self.draws = u, 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.u
+
+
+class _FixedProposal:
+    def __init__(self, candidate, log_hastings: float) -> None:
+        self.candidate, self.log_hastings = candidate, log_hastings
+
+    def propose(self, state, rng):
+        return self.candidate, self.log_hastings
+
+
 class TestTargetsAPI:
     def test_prior_target_importance_weight_zero(self, injector):
-        target = PriorTarget(BernoulliBitFlipModel(1e-3))
-        cfg = FaultConfiguration.empty(injector.parameter_targets)
-        assert target.importance_log_weight(cfg, 0.37) == 0.0
-        assert np.isfinite(target.log_density(cfg))
+        # β=0 is the prior: every importance weight is one, so the weighted
+        # error is the campaign's own (tail) mean
+        result, weighted = injector.tempered_campaign(1e-2, beta=0.0, chains=2, steps=20)
+        assert weighted == result.mean_error
+        assert np.isfinite(weighted)
 
     def test_tempered_target_density_decomposes(self, injector):
-        model = BernoulliBitFlipModel(1e-3)
-        stat = lambda cfg: 0.25
-        target = TemperedErrorTarget(model, stat, beta=4.0)
-        cfg = FaultConfiguration.empty(injector.parameter_targets)
-        expected = cfg.log_prob(model) + 4.0 * 0.25
-        assert target.log_density(cfg) == pytest.approx(expected)
-        assert target.importance_log_weight(cfg, 0.25) == pytest.approx(-1.0)
+        """One accept decision on log prior + β·score, by the formula; the
+        uniform is drawn only when log α < 0."""
+        model, beta = BernoulliBitFlipModel(1e-3), 4.0
+        state = FaultConfiguration.empty(injector.parameter_targets)
+        candidate, _ = SingleBitToggle(injector.parameter_targets).propose(
+            state, np.random.default_rng(0)
+        )
+        scorer = StatisticRounds(lambda cfg: 0.75 if cfg is candidate else 0.25)
+        for log_hastings, draws in ((0.0, 1), (10.0, 0)):
+            log_alpha = (
+                (candidate.log_prob(model) + beta * 0.75)
+                - (state.log_prob(model) + beta * 0.25)
+                + log_hastings
+            )
+            assert (log_alpha < 0) == bool(draws)
+            for u in (0.5 * math.exp(min(log_alpha, 0.0)), 1 - 1e-12):
+                rng = _CountingRng(u)
+                states, scores, log_priors = [state], [0.25], [state.log_prob(model)]
+                (accepted,) = metropolis_step(
+                    scorer, _FixedProposal(candidate, log_hastings), model, beta,
+                    [scorer.session()], states, scores, log_priors, [rng],
+                )
+                assert rng.draws == draws
+                assert accepted == (log_alpha >= 0 or math.log(u) < log_alpha)
+                want = (candidate, 0.75, candidate.log_prob(model)) if accepted else (
+                    state, 0.25, state.log_prob(model)
+                )
+                assert (states[0], scores[0], log_priors[0]) == want
 
-    def test_tempered_beta_validation(self):
-        with pytest.raises(ValueError):
-            TemperedErrorTarget(BernoulliBitFlipModel(1e-3), lambda c: 0.0, beta=-1.0)
+    def test_tempered_beta_validation(self, injector):
+        model = BernoulliBitFlipModel(1e-3)
+        targets = injector.parameter_targets
+        with pytest.raises(ValueError, match="non-negative"):
+            MetropolisHastingsSampler(
+                targets, model, lambda c: 0.0, SingleBitToggle(targets), beta=-1.0
+            )
 
 
 class TestAlternativeModelsThroughCampaigns:
