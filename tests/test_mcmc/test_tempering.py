@@ -71,6 +71,15 @@ class TestSampling:
         result = sampler.run(chains=2, sweeps=100, rng=2)
         assert 0.0 <= result.swap_acceptance <= 1.0
 
+    def test_cold_rung_records_its_own_acceptance(self, targets):
+        """The cold chain's accept flags are its MH decisions, not a
+        constant: at p = 0.05 a single-bit toggle is accepted about one
+        time in ten."""
+        sampler, _ = _sampler(targets, p=0.05)
+        result = sampler.run(chains=2, sweeps=100, rng=4)
+        for chain in result.cold_chains.chains:
+            assert 0.0 < chain.acceptance_rate < 0.5
+
     def test_reproducible(self, targets):
         sampler, _ = _sampler(targets)
         a = sampler.run(chains=2, sweeps=50, rng=3)
