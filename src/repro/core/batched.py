@@ -9,12 +9,14 @@ configurations axis.
 
 The rule that keeps the sweep bit-identical to ``apply_configuration`` +
 ``model(x)``, the standard path: every GEMM runs in the standard path's
-call shape. A Conv2d calls :func:`~repro.tensor.functional.conv2d_forward`,
-``conv2d``'s own kernel, once per configuration row; a Dense broadcasts
-``np.matmul`` over the configurations axis, which loops one ``(B, in) @
-(in, out)`` GEMM per row. Only parameter-free leaves (ReLU, pooling,
-flatten), which are elementwise or per-sample, run once over the ``k``
-rows folded into the batch axis.
+call shape. A Conv2d hands :func:`~repro.tensor.functional.conv2d_forward`,
+``conv2d``'s own kernel, the stack of row weights: it gathers a shared
+input once for every row (a diverged one row by row) and runs one GEMM
+per row, the call ``conv2d`` makes. A Dense broadcasts ``np.matmul``
+over the configurations axis, which loops one ``(B, in) @ (in, out)``
+GEMM per row. Only parameter-free leaves (ReLU, pooling, flatten), which
+are elementwise or per-sample, run once over the ``k`` rows folded into
+the batch axis.
 
 Every fast path of :class:`~repro.core.injector.BayesianFaultInjector`
 goes through :meth:`BatchedNetworkEvaluator.run_segments`:
@@ -92,7 +94,8 @@ class BatchedNetworkEvaluator:
     prefix reuse for every later sweep). Past it, each Conv2d, Dense and
     BatchNorm runs one handler, faulted or not, on a ``(k, ...)`` stack of
     row parameters: faulted copies of a fault target, a zero-copy
-    broadcast of any other parameter. Sequential and BasicBlock are
+    broadcast of any other parameter (a Conv2d's handler is one call of
+    ``conv2d``'s kernel over its stack). Sequential and BasicBlock are
     descended into; see the module docstring for the bit-identity rule.
 
     Construction runs no forward: it reads the verified chain and the
@@ -315,16 +318,11 @@ class BatchedNetworkEvaluator:
     def _run_conv(
         self, module: Conv2d, name: str, state: _State, configurations: ConfigurationBlock
     ) -> _State:
-        k = len(configurations)
-        inputs = state.data if state.diverged else [state.data] * k
         weights = self._stacked_parameter(configurations, f"{name}.weight", module.weight.data)
-        biases = [None] * k
+        biases = None
         if module.bias is not None:
             biases = self._stacked_parameter(configurations, f"{name}.bias", module.bias.data)
-        rows = [
-            conv2d_forward(x, weight, bias, module.stride, module.padding)[0]
-            for x, weight, bias in zip(inputs, weights, biases)
-        ]
+        rows = conv2d_forward(state.data, weights, biases, module.stride, module.padding)[0]
         return _State(np.stack(rows), True)
 
     def _run_norm(

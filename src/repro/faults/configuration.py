@@ -143,7 +143,7 @@ class FaultConfiguration:
 
         A sparsely stored target is densified once and the dense array
         becomes the authoritative storage from then on (callers may mutate
-        the returned array, as MCMC proposals do).
+        the returned array).
         """
         stored = self._masks[name]
         if isinstance(stored, SparseMask):
@@ -175,10 +175,6 @@ class FaultConfiguration:
     def names(self) -> list[str]:
         return list(self._masks)
 
-    def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        """Iterate ``(name, dense mask)`` pairs (densifying as needed)."""
-        return iter([(name, self.mask(name)) for name in self._masks])
-
     def sparse_items(self) -> Iterator[tuple[str, SparseMask]]:
         """Iterate ``(name, sparse mask)`` pairs without densifying."""
         return iter([(name, self.sparse(name)) for name in self._masks])
@@ -190,28 +186,8 @@ class FaultConfiguration:
         return len(self._masks)
 
     # ------------------------------------------------------------------ #
-    # algebra and statistics
+    # statistics and comparison
     # ------------------------------------------------------------------ #
-
-    def copy(self) -> "FaultConfiguration":
-        return FaultConfiguration({name: mask.copy() for name, mask in self._masks.items()})
-
-    def xor(self, other: "FaultConfiguration") -> "FaultConfiguration":
-        """Elementwise XOR — used by MCMC proposals to toggle flip bits.
-
-        Sparse ⊕ sparse stays sparse (O(K)); any dense operand produces a
-        dense result.
-        """
-        if set(self._masks) != set(other._masks):
-            raise KeyError("configurations cover different targets")
-        merged: dict[str, np.ndarray | SparseMask] = {}
-        for name in self._masks:
-            a, b = self._masks[name], other._masks[name]
-            if isinstance(a, SparseMask) and isinstance(b, SparseMask):
-                merged[name] = a.xor(b)
-            else:
-                merged[name] = self.mask(name) ^ other.mask(name)
-        return FaultConfiguration(merged)
 
     def total_flips(self) -> int:
         """Total number of flipped bits (Hamming weight) across all targets."""
@@ -247,11 +223,12 @@ class FaultConfiguration:
     def same_mask(self, other: "FaultConfiguration", name: str) -> bool:
         """Whether this and ``other`` hold equal masks for one target.
 
-        Storage-aware and non-mutating: sparse/sparse compares canonical
-        forms in O(K), dense/dense compares raw arrays (memory-bandwidth
-        cheap — proposals densify, so this is the hot MCMC diff path), and
-        mixed storage densifies a transient view without converting either
-        operand in place.
+        Storage-aware and non-mutating: a mask shared by both (the hot
+        MCMC diff path — proposals share every mask they leave alone with
+        the state) is equal in O(1), sparse/sparse compares canonical
+        forms in O(K), dense/dense compares raw arrays, and mixed storage
+        densifies a transient view without converting either operand in
+        place.
         """
         a = self._masks.get(name)
         b = other._masks.get(name)

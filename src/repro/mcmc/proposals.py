@@ -2,15 +2,22 @@
 
 A proposal maps a current :class:`FaultConfiguration` to a candidate plus
 the log Hastings correction ``log q(x|x') − log q(x'|x)``.
+
+Candidates are built from sparse masks
+(:class:`~repro.faults.sparse.SparseMask`) and share every mask the move
+leaves alone with the current state, so a proposal, the delta engine's
+diff against the state (:meth:`FaultConfiguration.same_mask`), the block
+fold and the log prior all cost O(flips), not O(elements).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bits.float32 import BITS_PER_FLOAT, positions_to_mask
+from repro.bits.float32 import BITS_PER_FLOAT, positions_to_sparse
 from repro.faults.configuration import FaultConfiguration
 from repro.faults.model import FaultModel
+from repro.faults.sparse import SparseMask
 from repro.nn.module import Parameter
 
 __all__ = ["SingleBitToggle", "BlockResample", "MixtureProposal"]
@@ -42,14 +49,12 @@ class SingleBitToggle:
         self, state: FaultConfiguration, rng: np.random.Generator
     ) -> tuple[FaultConfiguration, float]:
         positions = rng.choice(self.total_bits, size=self.bits_per_toggle, replace=False)
-        candidate = state.copy()
-        masks = {name: candidate.mask(name) for name in self._names}
+        masks = {name: state.sparse(name) for name in self._names}
         for pos in np.sort(positions):
             target_idx = int(np.searchsorted(self._offsets, pos, side="right") - 1)
             name = self._names[target_idx]
             local = int(pos - self._offsets[target_idx])
-            toggle = positions_to_mask(np.asarray([local]), self._shapes[name])
-            masks[name] = masks[name] ^ toggle
+            masks[name] = masks[name].xor(SparseMask(self._shapes[name], *positions_to_sparse([local])))
         return FaultConfiguration(masks), 0.0  # symmetric
 
 
@@ -74,13 +79,14 @@ class BlockResample:
         index = int(rng.integers(0, len(self._targets)))
         name, param = self._targets[index]
         target_model = self.fault_model.for_target(name)
-        new_mask = target_model.sample_mask(param.shape, rng)
-        candidate = state.copy()
-        masks = dict(candidate.items())
+        # the same draws as sample_mask, kept as positions
+        positions = target_model.sample_positions(param.shape, rng)
+        new_mask = SparseMask(param.shape, *positions_to_sparse(positions))
+        masks = dict(state.sparse_items())
         old_mask = masks[name]
         masks[name] = new_mask
         # q(x|x') / q(x'|x) = prior(old block) / prior(new block)
-        log_hastings = target_model.log_prob_mask(old_mask) - target_model.log_prob_mask(new_mask)
+        log_hastings = target_model.log_prob_sparse(old_mask) - target_model.log_prob_sparse(new_mask)
         return FaultConfiguration(masks), log_hastings
 
 

@@ -18,7 +18,8 @@ index is kept in two orders:
   ``(batch, positions, features)``, and ``conv2d`` hands einsum its
   ``(batch, features, positions)`` transposed view. einsum lowers
   ``of,bfp->bop`` to one GEMM on that operand reshaped to
-  ``(batch*positions, features)``, and in this layout the reshape is free.
+  ``(batch*positions, features)``, and in this layout the reshape is free;
+  :func:`conv2d_forward` makes that GEMM call itself.
 * features-major ``(features, positions)``: the take reads the images
   transposed and yields ``(features, positions, rows)``, the layout of
   the indexed gather ``x_padded[:, k, i, j]`` with the rows innermost.
@@ -208,36 +209,76 @@ def pad2d(x: Tensor, padding: int) -> Tensor:
 
 
 def conv2d_forward(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, stride: int, padding: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ndarray kernel of :func:`conv2d`'s forward.
+    x: np.ndarray, weights: np.ndarray, biases: np.ndarray | None, stride: int, padding: int
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The ndarray kernel of :func:`conv2d`'s forward, over a stack of ``k`` weights.
 
-    ``x`` is NCHW, ``weight`` ``(out_channels, in_channels, kh, kw)`` and
-    ``bias`` ``(out_channels,)`` or ``None``. Returns the NCHW output and
-    ``cols``, the ``(batch, C*kh*kw, P)`` patch matrix the weight gradient
-    reuses. The segment engine calls it once per configuration row, so a
-    faulted conv runs the same GEMM call as the standard path's.
+    ``weights`` is ``(k, out_channels, in_channels, kh, kw)`` and
+    ``biases`` ``(k, out_channels)`` or ``None``. ``x`` is one NCHW input
+    shared by every row, gathered once, or a ``(k, batch, C, H, W)``
+    stack of one input per row, gathered one row at a time (and released
+    before the next). Returns the ``k`` NCHW outputs, one per row, and
+    ``cols``: the shared input's ``(batch, C*kh*kw, P)`` patch matrix,
+    which the weight gradient reuses, or ``None`` for per-row inputs.
+
+    Each row runs the one GEMM ``np.einsum("of,bfp->bop", w, cols,
+    optimize=True)`` runs, and its output keeps that call's memory layout
+    (a biased output stays channels-last), so :func:`conv2d`, the ``k = 1``
+    call, and every faulted row of the segment engine match the einsum
+    kernel bit for bit downstream too. When no dimension among
+    out-channels O, features F, images B and positions P is 1, einsum
+    lowers the contraction (as ``bfp,of->bop``) to ``matmul`` of the
+    ``(B*P, F)`` patch rows by the ``(F, O)`` transposed weight, read back
+    as ``(B, O, P)``; that call is made directly, without einsum's parse
+    per row. einsum drops unit dimensions and then contracts differently
+    (a matrix-vector product, or a plain multiply when F = 1), so those
+    shapes keep the einsum call.
     """
-    batch, in_c, _, _ = x.shape
-    out_c, w_in_c, kh, kw = weight.shape
+    in_c, w_in_c = x.shape[-3], weights.shape[2]
     if in_c != w_in_c:
         raise ValueError(f"input has {in_c} channels but weight expects {w_in_c}")
 
+    kh, kw = weights.shape[-2:]
     window = im2col_window(x.shape, kh, kw, stride, padding)
-    # cols: (batch, C*kh*kw, out_h*out_w), a transposed view of one
-    # contiguous take; see the module docstring for the two orders.
+    cols = _conv_cols(window, x) if x.ndim == 4 else None
+    outs = [
+        _conv_row(
+            window,
+            _conv_cols(window, x[row]) if cols is None else cols,
+            weights[row],
+            None if biases is None else biases[row],
+        )
+        for row in range(len(weights))
+    ]
+    return outs, cols
+
+
+def _conv_row(window: Window, cols: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """One NCHW output: ``weight`` over the ``(B, F, P)`` patch matrix ``cols``, plus ``bias``."""
+    batch, features, positions = cols.shape
+    out_c = weight.shape[0]
+    w_mat = weight.reshape(out_c, features)
+    if min(out_c, features, batch, positions) > 1:
+        # cols.transpose(0, 2, 1) is the C-contiguous (B, P, F) take, so
+        # the (B*P, F) reshape is the view einsum hands matmul
+        patch_rows = cols.transpose(0, 2, 1).reshape(batch * positions, features)
+        out = np.matmul(patch_rows, w_mat.T).reshape(batch, positions, out_c).transpose(0, 2, 1)
+    else:
+        out = np.einsum("of,bfp->bop", w_mat, cols, optimize=True)
+    if bias is not None:
+        out = out + bias.reshape(1, -1, 1)
+    return out.reshape(batch, out_c, window.out_h, window.out_w)
+
+
+def _conv_cols(window: Window, x: np.ndarray) -> np.ndarray:
+    """``(batch, C*kh*kw, P)`` patch matrix of the NCHW ``x``: a transposed
+    view of one contiguous take (see the module docstring for the two orders)."""
+    batch = x.shape[0]
     positions = window.out_h * window.out_w
     if batch == 1 or positions == 1:
         patches = window.gather(x, features_major=True)
-        cols = patches.reshape(-1, batch, positions).transpose(1, 0, 2)
-    else:
-        patches = window.gather(x, features_major=False)
-        cols = patches.transpose(0, 2, 1)
-    w_mat = weight.reshape(out_c, -1)  # (out_c, C*kh*kw)
-    out = np.einsum("of,bfp->bop", w_mat, cols, optimize=True)
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1)
-    return out.reshape(batch, out_c, window.out_h, window.out_w), cols
+        return patches.reshape(-1, batch, positions).transpose(1, 0, 2)
+    return window.gather(x, features_major=False).transpose(0, 2, 1)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -246,8 +287,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     ``weight`` has shape ``(out_channels, in_channels, kh, kw)`` and ``bias``
     (optional) shape ``(out_channels,)``.
     """
-    bias_data = None if bias is None else bias.data
-    out_data, cols = conv2d_forward(x.data, weight.data, bias_data, stride, padding)
+    biases = None if bias is None else bias.data[None]
+    outs, cols = conv2d_forward(x.data, weight.data[None], biases, stride, padding)
+    out_data = outs[0]
     batch, in_c, height, width = x.shape
     out_c, _, kh, kw = weight.shape
     w_mat = weight.data.reshape(out_c, -1)

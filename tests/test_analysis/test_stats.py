@@ -96,6 +96,40 @@ class TestRankCorrelation:
         stats = rank_correlation(*((y, x) if swap else (x, y)))
         assert stats == {"spearman_rho": 0.0, "spearman_p": 1.0, "kendall_tau": 0.0, "kendall_p": 1.0}
 
+    @pytest.mark.parametrize("n", range(3, 42))
+    def test_bit_identical_to_scipy_stats(self, n):
+        """Every value equals scipy.stats' spearmanr and kendalltau: untied
+        samples (the exact Kendall p-value up to 33 points, the normal one
+        above), tied ones, near-perfect orders and reversed ones."""
+        from scipy import stats as sps
+
+        rng = np.random.default_rng(n)
+        order = np.arange(n, dtype=float)
+        swapped = order.copy()
+        swapped[[0, 1]] = swapped[[1, 0]]
+        cases = [
+            (rng.normal(size=n), rng.normal(size=n)),
+            (rng.integers(0, 4, size=n).astype(float), rng.normal(size=n)),
+            (rng.integers(0, 3, size=n).astype(float), rng.integers(0, 3, size=n).astype(float)),
+            (order, swapped),
+            (order, -swapped),
+            (order, order**3),
+        ]
+        for x, y in cases:
+            if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+                continue
+            spearman, kendall = sps.spearmanr(x, y), sps.kendalltau(x, y)
+            want = [spearman.statistic, spearman.pvalue, kendall.statistic, kendall.pvalue]
+            got = rank_correlation(x, y)
+            got = [got["spearman_rho"], got["spearman_p"], got["kendall_tau"], got["kendall_p"]]
+            assert np.array_equal(np.float64(got).view(np.uint64), np.float64(want).view(np.uint64)), (x, y)
+
+    def test_nan_input_gives_nan(self):
+        """As scipy.stats propagates a NaN observation."""
+        stats = rank_correlation(np.array([1.0, np.nan, 3.0, 4.0]), np.arange(4.0))
+        assert list(stats) == ["spearman_rho", "spearman_p", "kendall_tau", "kendall_p"]
+        assert all(np.isnan(value) for value in stats.values())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             rank_correlation(np.ones(2), np.ones(2))

@@ -342,9 +342,9 @@ class TestSplitRound:
     @staticmethod
     def flipped(configuration, name, elements):
         """``configuration`` with the top exponent bit of ``elements`` toggled."""
-        out = configuration.copy()
-        out.mask(f"{name}.weight").reshape(-1)[list(elements)] ^= np.uint32(1 << 30)
-        return out
+        masks = {target: configuration.sparse(target).to_dense() for target in configuration.names()}
+        masks[f"{name}.weight"].reshape(-1)[list(elements)] ^= np.uint32(1 << 30)
+        return FaultConfiguration(masks)
 
     @staticmethod
     def committed(engine, state):

@@ -75,7 +75,7 @@ class TestRecordConfigurations:
         rows = []
         for _ in range(12):
             state, _ = proposal.propose(state, rng)
-            rows.append(state)
+            rows.append(FaultConfiguration({name: state.mask(name).copy() for name, _ in targets}))
         rows.append(FaultConfiguration.empty(targets))
         rows.append(FaultConfiguration({}))
         rows.append(FaultConfiguration({targets[1][0]: state.mask(targets[1][0]).copy()}))

@@ -76,30 +76,9 @@ class TestSampling:
 
 
 class TestAlgebra:
-    def test_xor_with_self_is_empty(self, targets, rng):
-        cfg = FaultConfiguration.sample(targets, BernoulliBitFlipModel(0.1), rng)
-        assert cfg.xor(cfg).is_empty()
-
-    def test_xor_with_empty_is_identity(self, targets, rng):
-        cfg = FaultConfiguration.sample(targets, BernoulliBitFlipModel(0.1), rng)
-        empty = FaultConfiguration.empty(targets)
-        assert cfg.xor(empty) == cfg
-
-    def test_xor_mismatched_targets_raises(self, targets):
-        a = FaultConfiguration.empty(targets)
-        b = FaultConfiguration.empty(targets[:1])
-        with pytest.raises(KeyError):
-            a.xor(b)
-
-    def test_copy_is_independent(self, targets, rng):
-        cfg = FaultConfiguration.sample(targets, BernoulliBitFlipModel(0.1), rng)
-        clone = cfg.copy()
-        clone.mask(targets[0][0])[...] = 0
-        assert cfg != clone or cfg.total_flips() == 0
-
     def test_equality(self, targets, rng):
         cfg = FaultConfiguration.sample(targets, BernoulliBitFlipModel(0.1), rng)
-        assert cfg == cfg.copy()
+        assert cfg == FaultConfiguration({name: cfg.sparse(name).to_dense() for name in cfg.names()})
         assert cfg != FaultConfiguration.empty(targets)
         assert (cfg == object()) is False or True  # NotImplemented path tolerated
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.faults import BernoulliBitFlipModel, FaultConfiguration
+from repro.faults.sparse import SparseMask
 
 _mask_arrays = hnp.arrays(
     dtype=np.uint32,
@@ -20,6 +21,8 @@ def _config(masks_dict):
 
 
 class TestConfigurationAlgebra:
+    """XOR algebra of the sparse masks that MCMC proposals build configurations from."""
+
     @given(_mask_arrays, st.data())
     @settings(max_examples=40, deadline=None)
     def test_xor_commutative(self, mask_a, data):
@@ -27,22 +30,21 @@ class TestConfigurationAlgebra:
             hnp.arrays(dtype=np.uint32, shape=mask_a.shape,
                        elements=st.integers(min_value=0, max_value=2**32 - 1))
         )
-        a = _config({"w": mask_a})
-        b = _config({"w": mask_b})
+        a, b = SparseMask.from_dense(mask_a), SparseMask.from_dense(mask_b)
         assert a.xor(b) == b.xor(a)
 
     @given(_mask_arrays)
     @settings(max_examples=40, deadline=None)
     def test_xor_self_inverse(self, mask):
-        cfg = _config({"w": mask})
-        assert cfg.xor(cfg).is_empty()
+        sparse = SparseMask.from_dense(mask)
+        assert sparse.xor(sparse).is_empty()
 
     @given(_mask_arrays)
     @settings(max_examples=40, deadline=None)
     def test_identity_element(self, mask):
-        cfg = _config({"w": mask})
-        zero = _config({"w": np.zeros_like(mask)})
-        assert cfg.xor(zero) == cfg
+        sparse = SparseMask.from_dense(mask)
+        zero = SparseMask.from_dense(np.zeros_like(mask))
+        assert sparse.xor(zero) == sparse
 
     @given(_mask_arrays, st.data())
     @settings(max_examples=30, deadline=None)
@@ -51,9 +53,8 @@ class TestConfigurationAlgebra:
             hnp.arrays(dtype=np.uint32, shape=mask_a.shape,
                        elements=st.integers(min_value=0, max_value=2**32 - 1))
         )
-        a = _config({"w": mask_a})
-        b = _config({"w": mask_b})
-        assert a.xor(b).total_flips() <= a.total_flips() + b.total_flips()
+        a, b = SparseMask.from_dense(mask_a), SparseMask.from_dense(mask_b)
+        assert a.xor(b).count_set_bits() <= a.count_set_bits() + b.count_set_bits()
 
     @given(_mask_arrays)
     @settings(max_examples=40, deadline=None)

@@ -2,7 +2,8 @@
 
 ``import scipy.stats`` costs more than the rest of ``repro.cli``'s imports
 together, and no campaign needs it: the library imports it only inside the
-functions that call it. The gate runs in a fresh interpreter, so modules
+functions that call it, and the layerwise depth correlation
+(``rank_correlation``) computes its statistics without it. The gate runs in a fresh interpreter, so modules
 other tests imported do not mask a regression.
 """
 
@@ -58,7 +59,9 @@ PROBE = textwrap.dedent(
 
     rho = rank_correlation(np.arange(5.0), np.array([1.0, 3.0, 2.0, 5.0, 4.0]))["spearman_rho"]
     assert abs(rho - 0.8) < 1e-12, rho
-    assert "scipy.stats" in sys.modules
+    ties = rank_correlation(np.arange(40.0), np.arange(40.0) // 3)
+    assert ties["kendall_tau"] > 0.9 and ties["kendall_p"] < 1e-6, ties
+    assert_no_scipy_stats("rank_correlation, exact and tied")
     print("ok")
     """
 )
